@@ -104,7 +104,7 @@ func BenchmarkSustainedLoadPerSlot(b *testing.B) {
 func BenchmarkClassicalPerSlot(b *testing.B) {
 	b.ReportAllocs()
 	res := Run(Config{Horizon: int64(b.N) + 1000, Seed: 1,
-		Medium: NewClassicalMedium(CDTernary)},
+		Medium: buildMedium(b, "classical:ternary", 0, 0)},
 		NewGenieAloha(2, 1), NewEvenPaced(0.25))
 	if res.Delivered == 0 {
 		b.Fatal("nothing delivered")

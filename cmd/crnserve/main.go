@@ -1,6 +1,6 @@
 // Command crnserve exposes a sweep cell cache directory over HTTP, so
 // crnsweep workers on several machines share one record namespace and
-// one lease table (DESIGN.md §6.3).  The on-disk format is exactly the
+// one lease table (DESIGN.md §6.2).  The on-disk format is exactly the
 // local cache's: a directory of content-addressed JSON records, so a
 // served cache can also be read (or seeded) directly by -cache-dir
 // runs and by crnquery.

@@ -2,15 +2,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/report"
-	"repro/internal/sweep"
 )
 
 // tinyArgs is a grid small enough for in-process end-to-end runs.
@@ -31,33 +27,20 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
 
 func TestInvalidShardSpecsRejected(t *testing.T) {
 	for _, bad := range []string{"0/4", "5/4", "garbage", "1/0", "-1/2", "1/"} {
-		_, _, err := runCLI(t, tinyArgs("-shard", bad)...)
+		_, _, err := runCLI(t, tinyArgs("-worker", "-cache-dir", t.TempDir(), "-shard", bad)...)
 		if err == nil || !strings.Contains(err.Error(), "shard") {
 			t.Errorf("-shard %q: err = %v, want a shard parse error", bad, err)
 		}
 	}
 }
 
-func TestResumeRequiresCacheDir(t *testing.T) {
-	_, _, err := runCLI(t, tinyArgs("-resume")...)
-	if err == nil || !strings.Contains(err.Error(), "-cache-dir") {
-		t.Fatalf("err = %v, want the -resume/-cache-dir error", err)
-	}
-}
-
 func TestShardRejectsFullGridArtifacts(t *testing.T) {
-	for _, flag := range []string{"-csv", "-bench"} {
-		_, _, err := runCLI(t, tinyArgs("-shard", "1/2", flag, filepath.Join(t.TempDir(), "x"))...)
-		if err == nil || !strings.Contains(err.Error(), "-merge") {
-			t.Errorf("%s under -shard: err = %v, want the merge-first error", flag, err)
+	for _, flag := range []string{"-json", "-csv", "-bench"} {
+		args := tinyArgs("-worker", "-cache-dir", t.TempDir(), "-shard", "1/2", flag, filepath.Join(t.TempDir(), "x"))
+		_, _, err := runCLI(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "-assemble") {
+			t.Errorf("%s under -shard: err = %v, want the assemble-first error", flag, err)
 		}
-	}
-}
-
-func TestShardRequiresJSONOutput(t *testing.T) {
-	_, _, err := runCLI(t, tinyArgs("-shard", "1/2")...)
-	if err == nil || !strings.Contains(err.Error(), "-json") {
-		t.Fatalf("err = %v, want the shard-needs-json error", err)
 	}
 }
 
@@ -83,80 +66,62 @@ func TestBadFlagReportedOnce(t *testing.T) {
 	}
 }
 
-func TestMergeNeedsArguments(t *testing.T) {
-	_, _, err := runCLI(t, "-merge", "-quiet")
-	if err == nil || !strings.Contains(err.Error(), "shard artifact") {
-		t.Fatalf("err = %v, want the missing-arguments error", err)
-	}
-}
-
 func TestPositionalArgsOutsideMergeRejected(t *testing.T) {
 	_, _, err := runCLI(t, tinyArgs("shard1.json")...)
-	if err == nil || !strings.Contains(err.Error(), "-merge") {
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Fatalf("err = %v, want the unexpected-arguments error", err)
 	}
 }
 
-// writeShard runs one shard in-process and saves its artifact.
-func writeShard(t *testing.T, spec sweep.Spec, k, n int, path string) {
+// shardWorkers drains the grid as n shard-filtered CLI workers, each
+// into its own directory under dir, and returns the directories.
+func shardWorkers(t *testing.T, dir string, n int, extra ...string) []string {
 	t.Helper()
-	res, err := sweep.RunShard(context.Background(), spec, sweep.Shard{Index: k, Count: n}, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var dirs []string
+	for k := 1; k <= n; k++ {
+		d := filepath.Join(dir, fmt.Sprintf("cells%d", k))
+		args := append(tinyArgs("-kappas", "4,8"), extra...)
+		args = append(args, "-worker", "-cache-dir", d, "-shard", fmt.Sprintf("%d/%d", k, n))
+		if _, _, err := runCLI(t, args...); err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, d)
 	}
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.SaveFile(path, append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	return dirs
 }
 
-func tinySpec(seed uint64) sweep.Spec {
-	return sweep.Spec{
-		Protocols: []string{"genie"}, Arrivals: []string{"batch"},
-		Kappas: []int{4, 8}, Rates: []float64{0.5},
-		Trials: 1, Horizon: 200, Seed: seed,
+// unionRecords copies the record files of several cell directories
+// into dst — what a CI gate does with the shard jobs' uploads.
+func unionRecords(t *testing.T, dst string, dirs ...string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		records, err := filepath.Glob(filepath.Join(d, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range records {
+			if err := os.WriteFile(filepath.Join(dst, filepath.Base(path)), mustRead(t, path), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
 func TestMergeRefusesMismatchedSpecHashes(t *testing.T) {
+	// Shards run under different specs (same shape, different seed) do
+	// not assemble into either grid: the other spec's records never
+	// match this spec's cell identities.
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	writeShard(t, tinySpec(1), 1, 2, a)
-	writeShard(t, tinySpec(2), 2, 2, b) // same shape, different seed
-	_, _, err := runCLI(t, "-merge", "-quiet", a, b)
-	if err == nil || !strings.Contains(err.Error(), "spec hash mismatch") {
-		t.Fatalf("err = %v, want the spec-hash mismatch error", err)
-	}
-}
-
-func TestCLIShardMergeMatchesUnsharded(t *testing.T) {
-	// End-to-end through the CLI glue: run 2 shards and an unsharded
-	// grid via run(), merge the shard files, compare bytes.
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	if _, _, err := runCLI(t, tinyArgs("-kappas", "4,8", "-json", full)...); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 2; k++ {
-		args := tinyArgs("-kappas", "4,8",
-			"-shard", fmt.Sprintf("%d/2", k),
-			"-json", filepath.Join(dir, fmt.Sprintf("shard%d.json", k)))
-		if _, _, err := runCLI(t, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged := filepath.Join(dir, "merged.json")
-	if _, _, err := runCLI(t, "-merge", "-quiet", "-json", merged,
-		filepath.Join(dir, "shard2.json"), filepath.Join(dir, "shard1.json")); err != nil {
-		t.Fatal(err)
-	}
-	want := mustRead(t, full)
-	got := mustRead(t, merged)
-	if !bytes.Equal(want, got) {
-		t.Fatal("CLI merged JSON differs from unsharded run")
+	a := shardWorkers(t, filepath.Join(dir, "a"), 2, "-seed", "1")
+	b := shardWorkers(t, filepath.Join(dir, "b"), 2, "-seed", "2")
+	union := filepath.Join(dir, "union")
+	unionRecords(t, union, a[0], b[1])
+	_, _, err := runCLI(t, tinyArgs("-kappas", "4,8", "-seed", "1", "-assemble", "-cache-dir", union, "-json", "-")...)
+	if err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("err = %v, want the missing-cells error", err)
 	}
 }
 
@@ -167,13 +132,13 @@ func TestCLIResumeUsesCache(t *testing.T) {
 	if _, _, err := runCLI(t, tinyArgs("-cache-dir", cacheDir, "-json", first)...); err != nil {
 		t.Fatal(err)
 	}
-	// Resumed, fully warm: no cell executes, artifact identical, and the
+	// Rerun, fully warm: no cell executes, artifact identical, and the
 	// progress log marks cells as cached.
 	second := filepath.Join(dir, "second.json")
 	args := []string{
 		"-protocols", "genie", "-arrivals", "batch", "-kappas", "4",
 		"-rates", "0.5", "-trials", "1", "-horizon", "200",
-		"-cache-dir", cacheDir, "-resume", "-json", second,
+		"-cache-dir", cacheDir, "-json", second,
 	}
 	var out, errBuf bytes.Buffer
 	if err := run(args, &out, &errBuf); err != nil {
@@ -212,17 +177,17 @@ func TestDistributedFlagValidation(t *testing.T) {
 		{"backend without role", tinyArgs("-backend", "http://localhost:1"), "-worker or -assemble"},
 		{"bad backend url", tinyArgs("-worker", "-backend", "not a url"), "url"},
 		{"relative backend url", tinyArgs("-worker", "-backend", "localhost:8771"), "url"},
-		{"resume with backend", tinyArgs("-resume", "-worker", "-backend", "http://localhost:1"), "-worker"},
-		{"resume with worker", tinyArgs("-resume", "-worker", "-cache-dir", "d"), "-worker"},
-		{"shard with worker", tinyArgs("-worker", "-cache-dir", "d", "-shard", "1/2"), "scheduling policy"},
+		{"shard without worker", tinyArgs("-shard", "1/2"), "-worker"},
+		{"shard with cache-dir but no worker", tinyArgs("-cache-dir", "d", "-shard", "1/2"), "-worker"},
 		{"shard with assemble", tinyArgs("-assemble", "-cache-dir", "d", "-shard", "1/2"), "-assemble"},
 		{"worker with json", tinyArgs("-worker", "-cache-dir", "d", "-json", "x.json"), "-assemble"},
 		{"worker with csv", tinyArgs("-worker", "-cache-dir", "d", "-csv", "x.csv"), "-assemble"},
 		{"worker with bench", tinyArgs("-worker", "-cache-dir", "d", "-bench", "x.json"), "-assemble"},
-		{"merge with worker", []string{"-merge", "-worker", "-cache-dir", "d", "x.json"}, "-assemble"},
 		{"owner without worker", tinyArgs("-owner", "w1"), "-worker"},
 		{"lease-ttl without worker", tinyArgs("-lease-ttl", "5m"), "-worker"},
 		{"assemble positional", tinyArgs("-assemble", "-cache-dir", "d", "stray.json"), "unexpected arguments"},
+		{"1ns lease-ttl", tinyArgs("-worker", "-cache-dir", t.TempDir(), "-lease-ttl", "1ns"), "lease TTL"},
+		{"negative lease-ttl", tinyArgs("-worker", "-cache-dir", t.TempDir(), "-lease-ttl", "-1s"), "lease TTL"},
 	}
 	for _, c := range cases {
 		_, _, err := runCLI(t, c.args...)
@@ -237,9 +202,10 @@ func TestDistributedFlagValidation(t *testing.T) {
 }
 
 // TestCLIWorkerAssembleMatchesUnsharded is the CLI-level end of the
-// work-stealing contract: two -worker invocations drain a shared
-// -cache-dir store, -assemble reads it back, and the artifact is
-// byte-identical to a plain run's.
+// scheduler contract: two -worker invocations drain a shared -cache-dir
+// store, and two -shard workers drain separate ones whose records are
+// copied into one directory; -assemble reads either back, and both
+// artifacts are byte-identical to a plain run's.
 func TestCLIWorkerAssembleMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.json")
@@ -277,6 +243,16 @@ func TestCLIWorkerAssembleMatchesUnsharded(t *testing.T) {
 	}
 	if !bytes.Equal(mustRead(t, full), mustRead(t, assembled)) {
 		t.Fatal("assembled CLI artifact differs from the plain run")
+	}
+
+	union := filepath.Join(dir, "union")
+	unionRecords(t, union, shardWorkers(t, filepath.Join(dir, "shards"), 2)...)
+	fromShards := filepath.Join(dir, "from-shards.json")
+	if _, _, err := runCLI(t, tinyArgs("-kappas", "4,8", "-assemble", "-cache-dir", union, "-json", fromShards)...); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, full), mustRead(t, fromShards)) {
+		t.Fatal("CLI artifact assembled from shard records differs from the plain run")
 	}
 }
 

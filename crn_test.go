@@ -111,6 +111,21 @@ func TestChannelFacade(t *testing.T) {
 	}
 }
 
+// buildMedium resolves a medium descriptor through the facade's one
+// construction path, ParseMedium + MediumSpec.Build.
+func buildMedium(t testing.TB, desc string, kappa, maxWindow int) Medium {
+	t.Helper()
+	spec, err := ParseMedium(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.Build(kappa, maxWindow)
+	if err != nil {
+		t.Fatalf("%s: %v", desc, err)
+	}
+	return m
+}
+
 func TestMediumFacade(t *testing.T) {
 	// Every baseline runs on the classical collision channel — the model
 	// it was designed for.
@@ -122,7 +137,7 @@ func TestMediumFacade(t *testing.T) {
 	}
 	for name, p := range protos {
 		res := Run(Config{Horizon: 1, Drain: true, DrainLimit: 1 << 22, Seed: 8,
-			Medium: NewClassicalMedium(CDTernary)}, p, NewBatch(n))
+			Medium: buildMedium(t, "classical:ternary", 0, 0)}, p, NewBatch(n))
 		if res.Delivered != n {
 			t.Fatalf("%s on classical delivered %d of %d", name, res.Delivered, n)
 		}
@@ -131,13 +146,11 @@ func TestMediumFacade(t *testing.T) {
 		}
 	}
 	for _, model := range ModelNames {
-		if _, err := NewMedium(model, 8, 32); err != nil {
-			t.Fatalf("NewMedium(%q): %v", model, err)
-		}
+		buildMedium(t, model, 8, 32)
 	}
 	// The coded medium can be passed explicitly, and jammers compose.
-	m := NewJammedMedium(NewCodedMedium(16, 64), NewPeriodicJammer(10, 2), 5)
-	res := Run(Config{Horizon: 1, Drain: true, Seed: 9, Medium: m},
+	res := Run(Config{Horizon: 1, Drain: true, Seed: 9,
+		Medium: buildMedium(t, "coded:16/64", 0, 0), Jammer: NewPeriodicJammer(10, 2)},
 		NewDecodableBackoff(16, 10), NewBatch(n))
 	if res.Delivered != n {
 		t.Fatalf("jammed coded medium delivered %d of %d", res.Delivered, n)
@@ -260,9 +273,10 @@ func TestFacadeConstructorsValidate(t *testing.T) {
 }
 
 func TestSweepFacadeShardResumeMerge(t *testing.T) {
-	// The facade drives the sharded/cached sweep subsystem end to end:
-	// two shards into a shared cache, merged byte-identical to an
-	// unsharded run, then a fully-warm resume that executes nothing.
+	// The facade drives the sweep scheduler end to end: two
+	// shard-filtered workers into a shared cache, assembled
+	// byte-identical to an unsharded run, then a fully-warm cached run
+	// that executes nothing.
 	spec := SweepSpec{
 		Protocols: []string{"genie"}, Arrivals: []string{"batch"},
 		Kappas: []int{4, 8}, Rates: []float64{0.5},
@@ -285,15 +299,12 @@ func TestSweepFacadeShardResumeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []*SweepShardResult
 	for _, sh := range []SweepShard{sh, {Index: 2, Count: 2}} {
-		res, err := RunSweepShard(context.Background(), spec, sh, SweepOptions{Cache: store})
-		if err != nil {
+		if _, err := RunSweepWorker(context.Background(), spec, SweepOptions{Cache: store, Shard: sh}); err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, res)
 	}
-	merged, err := MergeSweepShards(shards)
+	merged, err := AssembleSweep(context.Background(), spec, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +313,11 @@ func TestSweepFacadeShardResumeMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(want) != string(got) {
-		t.Fatal("merged facade sweep differs from unsharded run")
+		t.Fatal("assembled facade sweep differs from unsharded run")
 	}
 
 	executed := 0
-	resumed, err := RunSweep(context.Background(), spec, SweepOptions{Cache: store, Resume: true,
+	resumed, err := RunSweep(context.Background(), spec, SweepOptions{Cache: store,
 		OnCell: func(done, total int, cell *sweep.CellSummary, cached bool) {
 			if !cached {
 				executed++
@@ -316,13 +327,13 @@ func TestSweepFacadeShardResumeMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if executed != 0 {
-		t.Fatalf("warm resume executed %d cells, want 0", executed)
+		t.Fatalf("warm cached run executed %d cells, want 0", executed)
 	}
 	data, err := resumed.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(want) != string(data) {
-		t.Fatal("resumed facade sweep differs from unsharded run")
+		t.Fatal("cached facade sweep differs from unsharded run")
 	}
 }

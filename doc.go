@@ -50,22 +50,20 @@
 // collision-detection feedback variants the classical literature
 // distinguishes:
 //
-//	res := crn.Run(crn.Config{Horizon: 1, Drain: true, Seed: 2,
-//	    Medium: crn.NewClassicalMedium(crn.CDTernary)},
+//	spec, err := crn.ParseMedium("classical:ternary")
+//	med, err := spec.Build(0, 0)
+//	res := crn.Run(crn.Config{Horizon: 1, Drain: true, Seed: 2, Medium: med},
 //	    crn.NewExponentialBackoff(1), crn.NewBatch(1000))
 //
-// The canonical way to name a channel model is the medium-descriptor
-// grammar shared by every command's -model/-models flag and by sweep
-// specs:
+// Channel models are named by the medium-descriptor grammar shared by
+// every command's -model/-models flag and by sweep specs:
 //
 //	coded[:K[/W]] | classical[:none|binary|ternary] | capture[:K]
 //
 // ParseMedium parses a descriptor into a MediumSpec; MediumSpec.String
 // round-trips the canonical form and MediumSpec.Build constructs the
-// medium. The positional constructors above (NewCodedMedium,
-// NewClassicalMedium, NewCaptureMedium, NewJammedMedium) are
-// deprecated wrappers over this path and are retained for
-// compatibility only.
+// medium.  Jamming is a run property, not a channel model: set
+// Config.Jammer and the engine composes it over Config.Medium.
 //
 // # Real-network emulation
 //
@@ -83,10 +81,10 @@
 //	    Seed: 1, Stations: 4, Transport: "udp",
 //	})
 //
-// The long-running entry points — RunSweep, RunSweepShard,
-// RunSweepWorker, AssembleSweep, RunEmulation — take a
-// context.Context; cancellation lands between trials, cells, or slots,
-// and completed sweep cells stay cached.
+// The long-running entry points — RunSweep, RunSweepWorker,
+// AssembleSweep, RunEmulation — take a context.Context; cancellation
+// lands between trials, cells, or slots, and completed sweep cells stay
+// cached.
 //
 // # Scenario sweeps
 //
@@ -106,22 +104,20 @@
 // (and the BENCH_sweep.json benchmark artifact) are diffable across
 // commits.
 //
-// Sweep execution is also sharded, cacheable, and resumable (DESIGN.md
-// §6.2): -shard k/N runs a balanced slice of the grid and -merge
-// reassembles shard artifacts byte-identically to an unsharded run,
-// while -cache-dir/-resume persist completed cells as content-addressed
-// records so an interrupted sweep re-executes only what is missing.
-// The same machinery is exported here as RunSweep, RunSweepShard,
-// MergeSweepShards, and OpenSweepCache.
-//
-// Distributed execution generalizes the cache into a shared store
-// (DESIGN.md §6.3): cmd/crnserve serves a cell directory over HTTP, any
-// number of crnsweep -worker processes drain the grid by claiming cells
-// under advisory TTL leases, and -assemble reads the byte-identical
-// grid back.  cmd/crnquery lists, filters, and diffs the resulting
-// cells across runs and commits.  Exported here as SweepBackend,
-// RunSweepWorker, AssembleSweep, NewSweepHTTPBackend, and
-// NewSweepHTTPServer.
+// Every sweep runs through one scheduler (DESIGN.md §6.2), which
+// persists completed cells as content-addressed records:
+// -cache-dir reuses every matching record, so an interrupted sweep
+// re-executes only what is missing.  Any number of crnsweep -worker
+// processes drain one grid into a shared store — a directory, or one
+// cmd/crnserve serves over HTTP — by claiming cells under advisory TTL
+// leases; -worker -shard k/N restricts a worker to a balanced slice,
+// so N machines can split a grid without sharing a store.  -assemble
+// reads a drained store, or the union of the shards' record
+// directories, back into the byte-identical grid.  cmd/crnquery lists,
+// filters, and diffs the resulting cells across runs and commits.
+// Exported here as RunSweep, OpenSweepCache, SweepShard,
+// ParseSweepShard, SweepBackend, RunSweepWorker, AssembleSweep,
+// NewSweepHTTPBackend, and NewSweepHTTPServer.
 //
 // cmd/experiments accepts -parallel to run the E1–E15
 // reproduction harness concurrently and -json for the same

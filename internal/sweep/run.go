@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -17,7 +15,7 @@ const protoSeedSalt = 0x70726f746f636f6c // "protocol"
 
 // Options tunes sweep execution.  The zero value is ready to use.
 type Options struct {
-	// Parallelism bounds concurrent trials (0 = GOMAXPROCS).
+	// Parallelism is the number of trial lanes (0 = GOMAXPROCS).
 	Parallelism int
 	// Workers sets sim.Config.Workers (the staged intra-trial engine)
 	// for trials whose spec leaves its own Workers unset.  It is an
@@ -26,30 +24,34 @@ type Options struct {
 	// enters cell identities or artifacts.
 	Workers int
 	// OnCell, if set, is called as each selected cell completes —
-	// executed, or (under Resume) loaded from the cache — with the number
-	// of completed cells and the selected total.  Calls are serialized;
-	// cached cells are reported first in grid order, executed cells in
-	// scheduling order.
+	// executed, or loaded from Cache — with the number of completed
+	// cells and the selected total.  Calls are serialized; loaded cells
+	// are reported as the scan reaches them, executed cells as their
+	// last trial lands.
 	OnCell func(done, total int, cell *CellSummary, cached bool)
-	// Cache, if non-nil, persists every completed cell as a
-	// content-addressed record keyed by cell identity, so a later Resume
-	// run — or a concurrent work-stealing worker on another machine —
-	// re-executes only what is missing.  A filesystem *cache.Store and an
+	// Cache, if non-nil, is the cell store: every completed cell is
+	// persisted as a content-addressed record keyed by cell identity,
+	// and every cell whose record is already there and matches is loaded
+	// instead of executed.  RunWorker, which requires it, also claims
+	// each missing cell with a lease first, so workers on other machines
+	// do not compute a cell twice.  A filesystem *cache.Store and an
 	// httpstore.Client are interchangeable here.
 	Cache cache.Backend
-	// Resume loads cells whose records are already in Cache instead of
-	// executing them.  Requires Cache.
-	Resume bool
+	// Shard restricts a RunWorker to the cells it selects (the zero
+	// value selects the whole grid): a static k/N split of the grid is N
+	// workers with N shards, whose records Assemble reads back as one
+	// grid.  Run always builds the whole grid and rejects a Shard.
+	Shard Shard
 
 	// Owner identifies this worker in lease claims (RunWorker only).
-	// Empty derives a process-unique label.  Purely diagnostic: results
-	// never depend on it.
+	// Empty derives a process-unique label.  Purely diagnostic: results never depend on
+	// it.
 	Owner string
 	// LeaseTTL bounds how long a claimed-but-unfinished cell stays
 	// unstealable after its worker dies (RunWorker only; 0 =
-	// DefaultLeaseTTL).  It must exceed the worst-case single-cell
-	// execution time, or live workers will duplicate each other's work —
-	// harmlessly (records are content-addressed) but wastefully.
+	// DefaultLeaseTTL, otherwise at least 1ms).  Leases of cells in
+	// flight are renewed every LeaseTTL/2, so a slow cell stays owned; a
+	// dead worker's leases lapse after at most LeaseTTL.
 	LeaseTTL time.Duration
 	// Poll is how long a worker waits between scans when every missing
 	// cell is leased to someone else (RunWorker only; 0 = 100ms).
@@ -107,225 +109,29 @@ func putCell(b cache.Backend, id string, index int, key string, cell CellSummary
 	})
 }
 
-// execCell runs one cell's trials — bounded by parallelism, with the
-// staged engine at the given worker width — and folds them into the
-// cell's summary.  The seeds come from the full grid's flattened seed
-// list, so the summary is bit-identical to what an unsharded run
-// computes for the same cell, whichever scheduling policy asked for it.
-func execCell(spec *Spec, sc Scenario, seeds []uint64, parallelism, workers int) CellSummary {
-	outs := make([]trialOut, len(seeds))
-	sim.RunSeededTrials(seeds, parallelism, func(job int, seed uint64) *sim.Result {
-		var errCount int64
-		proto := spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-		cfg := spec.config(sc, seed)
-		if cfg.Workers == 0 {
-			cfg.Workers = workers
-		}
-		res := sim.Run(cfg, proto, spec.buildArrival(sc))
-		outs[job] = trialOut{res: res, errEpochs: errCount}
-		return res
-	})
-	return summarize(sc, outs)
-}
-
-// Run expands the spec and executes every (cell, trial) pair, fanning
-// the flattened trial list out over the engine's trial runner.  Trial
+// Run expands the spec and computes every cell through the sweep's one
+// scheduler (see RunWorker), keeping the summaries in memory.  Trial
 // seeds derive deterministically from spec.Seed in canonical cell
-// order, so the resulting Grid is identical for any parallelism — and,
-// with Options.Cache/Resume, for any interruption point: completed
-// cells are re-loaded, missing ones re-executed, and the artifact is
-// byte-identical to an uninterrupted run.  Cancel ctx to stop early:
-// in-flight trials finish (and completed cells stay cached), then Run
-// returns the context's error.
+// order, so the resulting Grid is identical for any parallelism.  With
+// Options.Cache, Run also persists each cell and reuses every matching
+// record already in the store, so a run interrupted at any point and
+// started again is byte-identical to an uninterrupted one.  Run takes
+// no leases: it owns the whole grid, so it executes every cell it
+// cannot load rather than wait on another worker.  That also repairs a
+// store: a corrupt or foreign record file blocks a worker's claim, and
+// Run overwrites it.
+// Cancellation follows RunWorker's contract; Run then returns the
+// context's error and no Grid.
 func Run(ctx context.Context, spec Spec, opts Options) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cells := spec.Expand()
-	out, err := runCells(ctx, &spec, cells, Shard{}.Indices(len(cells)), opts)
-	if err != nil {
-		return nil, err
+	if !opts.Shard.IsAll() {
+		return nil, fmt.Errorf("sweep: Run builds the whole grid; shard %s applies to RunWorker", opts.Shard)
 	}
-	grid := &Grid{Spec: spec, Cells: make([]CellSummary, len(cells))}
-	for i := range out {
-		grid.Cells[out[i].Index] = out[i].Cell
+	grid := &Grid{Spec: spec, Cells: make([]CellSummary, spec.Cells())}
+	if _, err := drain(ctx, &spec, opts, false, func(i int, cell *CellSummary) { grid.Cells[i] = *cell }); err != nil {
+		return nil, err
 	}
 	return grid, nil
-}
-
-// RunShard executes one shard of the spec's grid — the cells
-// sh.Indices selects from the canonical expansion — seeding each trial
-// exactly as an unsharded run would, and returns the shard artifact
-// Merge reassembles.  Options.Cache/Resume apply per cell, so shards
-// and resumed runs share one cache.  Cancellation follows Run's
-// contract.
-func RunShard(ctx context.Context, spec Spec, sh Shard, opts Options) (*ShardResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sh.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	cells := spec.Expand()
-	out, err := runCells(ctx, &spec, cells, sh.Indices(len(cells)), opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardResult{
-		SchemaVersion: SchemaVersion,
-		SpecHash:      hash,
-		Spec:          spec,
-		Shard:         sh,
-		TotalCells:    len(cells),
-		Cells:         out,
-	}, nil
-}
-
-// runCells executes (or, under Resume, loads) the selected cells of an
-// expanded grid — the static scheduling policy: the caller decides up
-// front which cells this process owns (a shard's round-robin slice, or
-// the whole grid) and every other cell is someone else's problem.  The
-// work-stealing policy in steal.go instead claims cells from the shared
-// backend at run time; both funnel through the same loadCell / execCell
-// / putCell primitives, so the policies differ only in who executes a
-// cell, never in what the cell contains.
-//
-// spec must be validated; selected holds ascending positions into
-// cells.  Every trial's seed comes from the full grid's flattened seed
-// list, so any subset executes exactly as it would inside an unsharded,
-// uninterrupted run.
-func runCells(ctx context.Context, spec *Spec, cells []Scenario, selected []int, opts Options) ([]IndexedCell, error) {
-	if opts.Resume && opts.Cache == nil {
-		return nil, fmt.Errorf("sweep: Resume requires a Cache")
-	}
-	allSeeds := spec.jobSeeds(len(cells))
-	out := make([]IndexedCell, len(selected))
-	var pending []int // positions in selected that need execution
-	for si, ci := range selected {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc := cells[ci]
-		out[si] = IndexedCell{Index: ci, ID: cellID(sc, spec, allSeeds[ci*spec.Trials:(ci+1)*spec.Trials])}
-		hit := false
-		if opts.Resume {
-			// The identity hash names the record, but trust nothing: a
-			// record is reused only if its stored identity agrees with the
-			// one this spec derives for this cell (loadCell re-checks).
-			cell, ok, err := loadCell(opts.Cache, out[si].ID, sc.Key())
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out[si].Cell = cell
-				hit = true
-			}
-		}
-		if !hit {
-			pending = append(pending, si)
-		}
-	}
-
-	var progress struct {
-		sync.Mutex
-		done    int
-		saveErr error
-	}
-	finish := func(si int, cached bool) {
-		// Persist outside the progress mutex: records are distinct files
-		// keyed by unique identities, so concurrent Puts need no mutual
-		// exclusion, and a slow disk must not serialize cell completion.
-		var putErr error
-		if opts.Cache != nil && !cached {
-			putErr = putCell(opts.Cache, out[si].ID, out[si].Index, cells[out[si].Index].Key(), out[si].Cell)
-		}
-		progress.Lock()
-		defer progress.Unlock()
-		if putErr != nil && progress.saveErr == nil {
-			progress.saveErr = putErr
-		}
-		progress.done++
-		if opts.OnCell != nil {
-			opts.OnCell(progress.done, len(selected), &out[si].Cell, cached)
-		}
-	}
-	// Report cache hits first, in grid order; executed cells follow as
-	// they land.
-	for si := range out {
-		if isPending(pending, si) {
-			continue
-		}
-		finish(si, true)
-	}
-
-	if len(pending) > 0 {
-		jobs := len(pending) * spec.Trials
-		jobSeeds := make([]uint64, jobs)
-		for p, si := range pending {
-			ci := out[si].Index
-			copy(jobSeeds[p*spec.Trials:], allSeeds[ci*spec.Trials:(ci+1)*spec.Trials])
-		}
-		// Trials self-collect per cell so a cell can be summarized (and
-		// persisted, and progress reported) the moment its last trial
-		// lands, while other cells are still running.  Each slot is
-		// written by exactly one goroutine; the atomic countdown orders
-		// those writes before the summarizing goroutine's reads.
-		outs := make([]trialOut, jobs)
-		remaining := make([]int32, len(pending))
-		for i := range remaining {
-			remaining[i] = int32(spec.Trials)
-		}
-		sim.RunSeededTrials(jobSeeds, opts.Parallelism, func(job int, seed uint64) *sim.Result {
-			// Cancellation is between trials: an in-flight trial always
-			// finishes (so its cell can complete and persist), but no new
-			// trial starts once ctx is done.
-			if ctx.Err() != nil {
-				return nil
-			}
-			p := job / spec.Trials
-			si := pending[p]
-			sc := cells[out[si].Index]
-			var errCount int64
-			proto := spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-			cfg := spec.config(sc, seed)
-			if cfg.Workers == 0 {
-				cfg.Workers = opts.Workers
-			}
-			res := sim.Run(cfg, proto, spec.buildArrival(sc))
-			outs[job] = trialOut{res: res, errEpochs: errCount}
-			if atomic.AddInt32(&remaining[p], -1) == 0 {
-				out[si].Cell = summarize(sc, outs[p*spec.Trials:(p+1)*spec.Trials])
-				finish(si, false)
-			}
-			return res
-		})
-	}
-	if progress.saveErr != nil {
-		return nil, progress.saveErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// isPending reports whether si is in the ascending pending list.
-func isPending(pending []int, si int) bool {
-	lo, hi := 0, len(pending)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case pending[mid] < si:
-			lo = mid + 1
-		case pending[mid] > si:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }

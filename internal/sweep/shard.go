@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -16,12 +15,13 @@ import (
 // SchemaVersion names the engine semantics cell identities are minted
 // under.  Bump it whenever a change moves simulation results for
 // unchanged specs (engine semantics, seed derivation, CellSummary
-// shape): every cached cell and shard artifact from the old version
-// stops matching and is re-executed rather than silently merged.
+// shape): every cached cell record from the old version stops matching
+// and is re-executed rather than silently assembled.
 const SchemaVersion = "crn-sweep/1"
 
-// Shard selects a 1-based slice k/N of a grid's cells.  The zero value
-// means "the whole grid".  Cells are dealt round-robin along the
+// Shard selects a 1-based slice k/N of a grid's cells — the claim filter
+// of a statically split sweep (Options.Shard).  The zero value means
+// "the whole grid".  Cells are dealt round-robin along the
 // canonical expansion order — skip rules have already been applied by
 // Expand, so the N shards are balanced to within one cell and their
 // union is exactly the full grid.
@@ -91,8 +91,8 @@ func (sh Shard) Indices(total int) []int {
 }
 
 // Hash returns the spec's content identity: a hex SHA-256 of the
-// schema version plus the normalized spec's JSON.  Two sweeps merge (or
-// share cache records, or gate CI) only when their hashes agree.  The
+// schema version plus the normalized spec's JSON: two specs with equal
+// hashes expand to the same cells with the same identities.  The
 // spec must already be validated (Validate normalizes the axis
 // defaults); Hash validates a copy defensively.
 func (s *Spec) Hash() (string, error) {
@@ -113,9 +113,9 @@ func (s *Spec) Hash() (string, error) {
 
 // jobSeeds derives the full grid's flattened per-trial seed list —
 // len(cells) × Trials seeds, assigned along canonical expansion order
-// exactly as an unsharded run assigns them.  Shard and resume execution
-// index into this list, which is why their artifacts are byte-identical
-// to unsharded runs.
+// exactly as an unsharded run assigns them.  Every scheduler indexes into
+// this list, which is why shard-filtered, resumed, and distributed runs
+// are byte-identical to a single uninterrupted one.
 func (s *Spec) jobSeeds(cellCount int) []uint64 {
 	return sim.TrialSeeds(cellCount*s.Trials, s.Seed)
 }
@@ -152,124 +152,4 @@ func cellID(sc Scenario, spec *Spec, seeds []uint64) string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// IndexedCell is one computed cell tagged with its position in the
-// canonical expansion and its content identity — the unit shard
-// artifacts and cache records are made of.
-type IndexedCell struct {
-	// Index is the cell's position in the spec's canonical expansion.
-	Index int `json:"index"`
-	// ID is the cell's content identity (see the cell-identity hash in
-	// DESIGN.md §6.2).
-	ID string `json:"id"`
-	// Cell is the cell's aggregated summary.
-	Cell CellSummary `json:"cell"`
-}
-
-// ShardResult is the artifact of one shard's execution: enough identity
-// (schema version, spec hash, normalized spec, shard coordinates, total
-// cell count) for Merge to verify that a set of shard files belongs to
-// one grid and covers it exactly.
-type ShardResult struct {
-	SchemaVersion string        `json:"schema_version"`
-	SpecHash      string        `json:"spec_hash"`
-	Spec          Spec          `json:"spec"`
-	Shard         Shard         `json:"shard"`
-	TotalCells    int           `json:"total_cells"`
-	Cells         []IndexedCell `json:"cells"`
-}
-
-// JSON renders the shard artifact as indented, deterministic JSON.
-func (r *ShardResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// ParseShardResult decodes a shard artifact.
-func ParseShardResult(data []byte) (*ShardResult, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var r ShardResult
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("sweep: bad shard artifact: %w", err)
-	}
-	return &r, nil
-}
-
-// Merge combines shard artifacts back into the full Grid, verifying the
-// byte-equality contract's preconditions: every shard carries the
-// current schema version and the same spec hash, the union of their
-// cells is exactly the full expansion (no gaps, no duplicates), and
-// every cell's content identity matches the one the spec derives for
-// that position.  The returned Grid renders byte-identically to an
-// unsharded run of the same spec.
-func Merge(shards []*ShardResult) (*Grid, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("sweep: merge of zero shards")
-	}
-	first := shards[0]
-	if first.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("sweep: shard %s has schema version %q, this build writes %q",
-			first.Shard, first.SchemaVersion, SchemaVersion)
-	}
-	spec := first.Spec
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	wantHash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	if first.SpecHash != wantHash {
-		return nil, fmt.Errorf("sweep: shard %s spec hash %.12s does not match its own spec (%.12s): artifact tampered or stale",
-			first.Shard, first.SpecHash, wantHash)
-	}
-	cells := spec.Expand()
-	seeds := spec.jobSeeds(len(cells))
-	merged := make([]CellSummary, len(cells))
-	seen := make([]bool, len(cells))
-	for _, sh := range shards {
-		if sh.SchemaVersion != SchemaVersion {
-			return nil, fmt.Errorf("sweep: shard %s has schema version %q, this build writes %q",
-				sh.Shard, sh.SchemaVersion, SchemaVersion)
-		}
-		if sh.SpecHash != wantHash {
-			return nil, fmt.Errorf("sweep: spec hash mismatch: shard %s ran %.12s…, shard %s ran %.12s… (different specs cannot merge)",
-				first.Shard, wantHash, sh.Shard, sh.SpecHash)
-		}
-		if sh.TotalCells != len(cells) {
-			return nil, fmt.Errorf("sweep: shard %s reports %d total cells, spec expands to %d",
-				sh.Shard, sh.TotalCells, len(cells))
-		}
-		for i := range sh.Cells {
-			c := &sh.Cells[i]
-			if c.Index < 0 || c.Index >= len(cells) {
-				return nil, fmt.Errorf("sweep: shard %s cell index %d outside grid of %d", sh.Shard, c.Index, len(cells))
-			}
-			if seen[c.Index] {
-				return nil, fmt.Errorf("sweep: cell %d appears in more than one shard (overlapping or duplicate shard files)", c.Index)
-			}
-			want := cellID(cells[c.Index], &spec, seeds[c.Index*spec.Trials:(c.Index+1)*spec.Trials])
-			if c.ID != want {
-				return nil, fmt.Errorf("sweep: shard %s cell %d (%s) identity %.12s… does not match the spec's %.12s…",
-					sh.Shard, c.Index, cells[c.Index].Key(), c.ID, want)
-			}
-			seen[c.Index] = true
-			merged[c.Index] = c.Cell
-		}
-	}
-	firstMissing, missing := -1, 0
-	for i, ok := range seen {
-		if !ok {
-			if firstMissing < 0 {
-				firstMissing = i
-			}
-			missing++
-		}
-	}
-	if missing > 0 {
-		return nil, fmt.Errorf("sweep: merge covers %d of %d cells; first missing cell %d (%s) — a shard file is absent or incomplete",
-			len(cells)-missing, len(cells), firstMissing, cells[firstMissing].Key())
-	}
-	return &Grid{Spec: spec, Cells: merged}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -85,44 +86,73 @@ func TestSpecHash(t *testing.T) {
 	}
 }
 
-// mergedArtifacts runs the spec as n shards at the given parallelism and
-// merges them (in reversed order, exercising order independence).
-func mergedArtifacts(t *testing.T, spec Spec, n, parallelism int) (jsonOut, csvOut []byte) {
+// shardStores runs the spec as n shard-filtered workers at once, each
+// writing to its own store, as n machines would.
+func shardStores(t *testing.T, spec Spec, n, parallelism int) []*cache.Store {
 	t.Helper()
-	var shards []*ShardResult
-	for k := n; k >= 1; k-- {
-		res, err := RunShard(context.Background(), spec, Shard{Index: k, Count: n}, Options{Parallelism: parallelism})
+	stores := make([]*cache.Store, n)
+	results := make([]*WorkerResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k := 1; k <= n; k++ {
+		store, err := cache.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Round-trip each shard through its JSON artifact, as the CLI
-		// merge path does.
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseShardResult(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, back)
+		stores[k-1] = store
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			opts := Options{Cache: store, Shard: Shard{Index: k, Count: n}, Parallelism: parallelism}
+			results[k-1], errs[k-1] = RunWorker(context.Background(), spec, opts)
+		}(k)
 	}
-	grid, err := Merge(shards)
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", k+1, n, err)
+		}
+		want := len(Shard{Index: k + 1, Count: n}.Indices(spec.Cells()))
+		if r := results[k]; r.Total != want || r.Executed != want || r.Loaded != 0 {
+			t.Fatalf("shard %d/%d: %+v, want %d cells executed", k+1, n, r, want)
+		}
+	}
+	return stores
+}
+
+// unionStore copies the record files of several stores into one fresh
+// directory — what a CI gate does with the shard jobs' uploads.
+func unionStore(t *testing.T, stores ...*cache.Store) *cache.Store {
+	t.Helper()
+	dir := t.TempDir()
+	for _, s := range stores {
+		records, err := filepath.Glob(filepath.Join(s.Dir(), "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range records {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := grid.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, []byte(grid.CSV())
+	return store
 }
 
 func TestShardedMergeByteIdentical(t *testing.T) {
-	// The tentpole contract: a 4-shard run merges to artifacts
-	// byte-identical to an unsharded run of the same spec, at
-	// parallelism 1 and N alike.  The spec mixes models and adversaries
-	// so the skip rules are live during partitioning.
+	// The static-split contract: 4 shard-filtered workers write to
+	// separate stores, their records go into one directory, and Assemble
+	// over it renders byte-identically to Run, at parallelism 1 and N
+	// alike.  The spec mixes models and adversaries so the skip rules are
+	// live during partitioning.
 	spec := adversarialSpec()
 	spec.Models = []string{"coded", "classical:ternary"}
 	grid, err := Run(context.Background(), spec, Options{})
@@ -135,105 +165,143 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	}
 	wantCSV := []byte(grid.CSV())
 	for _, par := range []int{1, 8} {
-		gotJSON, gotCSV := mergedArtifacts(t, spec, 4, par)
-		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Fatalf("parallelism %d: merged JSON differs from unsharded run", par)
+		stores := shardStores(t, spec, 4, par)
+		// Reverse the copy order: the union does not depend on it.
+		merged := unionStore(t, stores[3], stores[2], stores[1], stores[0])
+		got, err := Assemble(context.Background(), spec, merged)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(wantCSV, gotCSV) {
-			t.Fatalf("parallelism %d: merged CSV differs from unsharded run", par)
+		gotJSON, err := got.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("parallelism %d: assembled JSON differs from Run", par)
+		}
+		if !bytes.Equal(wantCSV, []byte(got.CSV())) {
+			t.Fatalf("parallelism %d: assembled CSV differs from Run", par)
 		}
 	}
 }
 
 func TestRunShardMatchesUnshardedCells(t *testing.T) {
+	// A shard-filtered worker computes exactly its round-robin slice, and
+	// each of its cells equals the unsharded run's.
 	spec := smallSpec()
 	grid, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunShard(context.Background(), spec, Shard{Index: 2, Count: 3}, Options{})
+	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SchemaVersion != SchemaVersion || res.TotalCells != len(grid.Cells) {
-		t.Fatalf("shard artifact header wrong: %+v", res)
+	res, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 2, Count: 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Cells) == 0 {
-		t.Fatal("shard ran no cells")
+	if want := len(Shard{Index: 2, Count: 3}.Indices(len(grid.Cells))); res.Total != want || res.Executed != want {
+		t.Fatalf("shard 2/3 worker: %+v, want %d cells executed", res, want)
 	}
-	for _, c := range res.Cells {
-		if c.Index%3 != 1 {
-			t.Fatalf("shard 2/3 owns cell %d", c.Index)
+	ids, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != res.Executed {
+		t.Fatalf("store holds %d records after a %d-cell shard", len(ids), res.Executed)
+	}
+	for _, id := range ids {
+		var rec CellRecord
+		if ok, err := store.Get(id, &rec); err != nil || !ok {
+			t.Fatalf("reading record %s: ok=%v err=%v", id, ok, err)
 		}
-		if want := grid.Cells[c.Index]; c.Cell != want {
-			t.Fatalf("cell %d differs between sharded and unsharded run:\n%+v\n%+v", c.Index, c.Cell, want)
+		if rec.Index%3 != 1 {
+			t.Fatalf("shard 2/3 wrote cell %d", rec.Index)
+		}
+		if want := grid.Cells[rec.Index]; rec.Cell != want {
+			t.Fatalf("cell %d differs between sharded and unsharded run:\n%+v\n%+v", rec.Index, rec.Cell, want)
 		}
 	}
 }
 
+func TestRunRejectsShard(t *testing.T) {
+	if _, err := Run(context.Background(), smallSpec(), Options{Shard: Shard{Index: 1, Count: 2}}); err == nil {
+		t.Fatal("Run with a shard filter accepted")
+	}
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Options{Cache: store, Shard: Shard{Index: 3, Count: 2}}
+	if _, err := RunWorker(context.Background(), smallSpec(), bad); err == nil {
+		t.Fatal("RunWorker with a malformed shard accepted")
+	}
+}
+
 func TestMergeRejects(t *testing.T) {
+	// Assembling the union of shard stores refuses anything that is not
+	// exactly this spec's grid: a missing shard, a shard run under
+	// another spec, a stale schema version, or a record filed under
+	// another cell's identity.
 	spec := smallSpec()
-	shardOf := func(sp Spec, k, n int) *ShardResult {
-		res, err := RunShard(context.Background(), sp, Shard{Index: k, Count: n}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	s := shardStores(t, spec, 2, 0)
+	assemble := func(stores ...*cache.Store) error {
+		_, err := Assemble(context.Background(), spec, unionStore(t, stores...))
+		return err
 	}
-	s1, s2 := shardOf(spec, 1, 2), shardOf(spec, 2, 2)
-
-	if _, err := Merge(nil); err == nil {
-		t.Error("merge of zero shards accepted")
-	}
-	if _, err := Merge([]*ShardResult{s1}); err == nil {
-		t.Error("merge with a missing shard accepted")
-	}
-	if _, err := Merge([]*ShardResult{s1, s2, s1}); err == nil {
-		t.Error("merge with a duplicated shard accepted")
+	if err := assemble(s[0]); err == nil {
+		t.Error("assemble with a missing shard accepted")
 	}
 
-	// Mismatched spec hashes: same shape, different seed.
+	// Mismatched specs: same shape, different seed.
 	other := spec
 	other.Seed = 99
-	if _, err := Merge([]*ShardResult{s1, shardOf(other, 2, 2)}); err == nil {
-		t.Error("merge across different specs accepted")
+	if err := assemble(s[0], shardStores(t, other, 2, 0)[1]); err == nil {
+		t.Error("assemble across different specs accepted")
 	}
 
-	// A stale schema version must refuse to merge.
-	stale := *s1
+	merged := unionStore(t, s...)
+	ids, err := merged.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec0, rec1 CellRecord
+	if ok, err := merged.Get(ids[0], &rec0); err != nil || !ok {
+		t.Fatalf("reading record: ok=%v err=%v", ok, err)
+	}
+	if ok, err := merged.Get(ids[1], &rec1); err != nil || !ok {
+		t.Fatalf("reading record: ok=%v err=%v", ok, err)
+	}
+	check := func(what string, rec CellRecord) {
+		t.Helper()
+		if err := merged.Put(ids[0], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Assemble(context.Background(), spec, merged); err == nil {
+			t.Errorf("assemble with %s accepted", what)
+		}
+	}
+	stale := rec0
 	stale.SchemaVersion = "crn-sweep/0"
-	if _, err := Merge([]*ShardResult{&stale, s2}); err == nil {
-		t.Error("merge with a stale schema version accepted")
-	}
+	check("a stale schema version", stale)
+	check("a record filed under another cell's identity", rec1)
 
-	// A tampered spec (hash no longer matches) must refuse to merge.
-	tampered := *s1
-	tampered.Spec.Horizon++
-	if _, err := Merge([]*ShardResult{&tampered, s2}); err == nil {
-		t.Error("merge with a tampered spec accepted")
+	// And the happy path still assembles after all that.
+	if err := merged.Put(ids[0], &rec0); err != nil {
+		t.Fatal(err)
 	}
-
-	// A tampered cell identity must refuse to merge.
-	badCell := *s1
-	badCell.Cells = append([]IndexedCell(nil), s1.Cells...)
-	badCell.Cells[0].ID = badCell.Cells[1].ID
-	if _, err := Merge([]*ShardResult{&badCell, s2}); err == nil {
-		t.Error("merge with a tampered cell identity accepted")
-	}
-
-	// And the happy path still merges after all that.
-	if _, err := Merge([]*ShardResult{s2, s1}); err != nil {
-		t.Fatalf("valid merge failed: %v", err)
+	if _, err := Assemble(context.Background(), spec, merged); err != nil {
+		t.Fatalf("valid assemble failed: %v", err)
 	}
 }
 
 // runCounting runs the spec with a cache, returning the grid's JSON and
 // how many cells were executed vs loaded.
-func runCounting(t *testing.T, spec Spec, store *cache.Store, resume bool) (data []byte, executed, cached int) {
+func runCounting(t *testing.T, spec Spec, store *cache.Store) (data []byte, executed, cached int) {
 	t.Helper()
 	grid, err := Run(context.Background(), spec, Options{
-		Cache:  store,
-		Resume: resume,
+		Cache: store,
 		OnCell: func(done, total int, cell *CellSummary, fromCache bool) {
 			if fromCache {
 				cached++
@@ -253,15 +321,15 @@ func runCounting(t *testing.T, spec Spec, store *cache.Store, resume bool) (data
 }
 
 func TestResumeExecutesOnlyMissingCells(t *testing.T) {
-	// The resume contract: after an interrupted run, a -resume re-run
-	// executes exactly the cells whose records are missing and its
-	// artifact is byte-identical to an uninterrupted run.
+	// The resume contract: after an interrupted run, a re-run over the
+	// same cache executes exactly the cells whose records are missing
+	// and its artifact is byte-identical to an uninterrupted run.
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, executed, cached := runCounting(t, spec, store, false)
+	want, executed, cached := runCounting(t, spec, store)
 	if executed != 16 || cached != 0 {
 		t.Fatalf("cold run: executed=%d cached=%d, want 16/0", executed, cached)
 	}
@@ -277,7 +345,7 @@ func TestResumeExecutesOnlyMissingCells(t *testing.T) {
 		}
 	}
 
-	got, executed, cached := runCounting(t, spec, store, true)
+	got, executed, cached := runCounting(t, spec, store)
 	if executed != 3 || cached != 13 {
 		t.Fatalf("resumed run: executed=%d cached=%d, want 3/13", executed, cached)
 	}
@@ -286,7 +354,7 @@ func TestResumeExecutesOnlyMissingCells(t *testing.T) {
 	}
 
 	// A fully-warm resume executes nothing and still reproduces the bytes.
-	got, executed, cached = runCounting(t, spec, store, true)
+	got, executed, cached = runCounting(t, spec, store)
 	if executed != 0 || cached != 16 {
 		t.Fatalf("warm run: executed=%d cached=%d, want 0/16", executed, cached)
 	}
@@ -302,7 +370,7 @@ func TestResumeIgnoresForeignAndCorruptRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := runCounting(t, spec, store, false)
+	want, _, _ := runCounting(t, spec, store)
 
 	// Corrupt one record (truncate) and tamper another's key; both must
 	// be treated as misses and re-executed, not merged.
@@ -321,7 +389,7 @@ func TestResumeIgnoresForeignAndCorruptRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, executed, cached := runCounting(t, spec, store, true)
+	got, executed, cached := runCounting(t, spec, store)
 	if executed != 2 || cached != 14 {
 		t.Fatalf("executed=%d cached=%d, want 2/14", executed, cached)
 	}
@@ -330,27 +398,21 @@ func TestResumeIgnoresForeignAndCorruptRecords(t *testing.T) {
 	}
 }
 
-func TestResumeRequiresCache(t *testing.T) {
-	if _, err := Run(context.Background(), smallSpec(), Options{Resume: true}); err == nil {
-		t.Fatal("Resume without a Cache accepted")
-	}
-}
-
 func TestShardsShareOneCache(t *testing.T) {
-	// Shards persist into the same store an unsharded resume can reuse:
-	// run shard 1/2 with a cache, then resume the full grid — only
-	// shard 2/2's cells execute.
+	// Shard-filtered workers persist into the same store a cached Run
+	// reuses: drain shard 1/2 into a store, then run the full grid over
+	// it — only shard 2/2's cells execute.
 	spec := smallSpec()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunShard(context.Background(), spec, Shard{Index: 1, Count: 2}, Options{Cache: store})
+	res, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 1, Count: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, executed, cached := runCounting(t, spec, store, true)
-	if cached != len(res.Cells) || executed != 16-len(res.Cells) {
-		t.Fatalf("executed=%d cached=%d after a %d-cell shard", executed, cached, len(res.Cells))
+	_, executed, cached := runCounting(t, spec, store)
+	if cached != res.Executed || executed != 16-res.Executed {
+		t.Fatalf("executed=%d cached=%d after a %d-cell shard", executed, cached, res.Executed)
 	}
 }

@@ -173,28 +173,32 @@ func TestWorkerKilledAndRestarted(t *testing.T) {
 // last-write-wins cannot corrupt a grid.
 func TestDuplicateCompletionByteIdentical(t *testing.T) {
 	spec := smallSpec()
-	cells := spec.Expand()
-	seeds := spec.jobSeeds(len(cells))
-	sc := cells[0]
-	id := cellID(sc, &spec, seeds[:spec.Trials])
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []byte
-	for attempt := 0; attempt < 2; attempt++ {
-		summary := execCell(&spec, sc, seeds[:spec.Trials], 0, 0)
-		if err := putCell(store, id, 0, sc.Key(), summary); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(store.Path(id))
+	var stores [2]*cache.Store
+	for attempt := range stores {
+		store, err := cache.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if attempt == 0 {
-			first = data
-		} else if !bytes.Equal(first, data) {
-			t.Fatal("two completions of one cell identity wrote different bytes")
+		if _, err := RunWorker(context.Background(), spec, stealOptions("w", store)); err != nil {
+			t.Fatal(err)
+		}
+		stores[attempt] = store
+	}
+	ids, err := stores[0].List()
+	if err != nil || len(ids) != spec.Cells() {
+		t.Fatalf("first store holds %d records (%v), want %d", len(ids), err, spec.Cells())
+	}
+	for _, id := range ids {
+		first, err := os.ReadFile(stores[0].Path(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := os.ReadFile(stores[1].Path(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("two completions of cell %s wrote different bytes", id)
 		}
 	}
 }
@@ -382,20 +386,95 @@ func TestAssembleReportsMissingCells(t *testing.T) {
 	if _, err := Assemble(context.Background(), spec, store); err == nil {
 		t.Fatal("assemble of an empty backend succeeded")
 	}
-	// Half-fill via a static shard run into the same namespace, then
-	// assemble: still incomplete, and the error says how incomplete.
-	if _, err := RunShard(context.Background(), spec, Shard{Index: 1, Count: 2}, Options{Cache: store}); err != nil {
+	// Half-fill via a shard-filtered worker, then assemble: still
+	// incomplete.
+	if _, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 1, Count: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Assemble(context.Background(), spec, store); err == nil {
 		t.Fatal("assemble of a half-drained backend succeeded")
 	}
-	// Completing the other half makes assembly whole — shard runs and
+	// Completing the other half makes assembly whole — shard-filtered
 	// workers share one record namespace.
-	if _, err := RunShard(context.Background(), spec, Shard{Index: 2, Count: 2}, Options{Cache: store}); err != nil {
+	if _, err := RunWorker(context.Background(), spec, Options{Cache: store, Shard: Shard{Index: 2, Count: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := assembledJSON(t, spec, store); !bytes.Equal(unshardedJSON(t, spec), got) {
 		t.Fatal("shard-filled assemble differs from the unsharded run")
+	}
+}
+
+// TestRunWorkerPipelinesCells is the pipelining contract: with two lanes
+// and one trial per cell, the worker claims cell 1 while cell 0's trial
+// is still running, instead of finishing cell 0 first.  Cell 0's trial
+// blocks until cell 1 is claimed; a worker that runs one cell at a time
+// never claims it, and the trial's timeout fails the test.
+func TestRunWorkerPipelinesCells(t *testing.T) {
+	spec := smallSpec()
+	spec.Trials = 1
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := spec.Expand()
+	seeds := spec.jobSeeds(len(cells))
+	backend := newCountingBackend(store, "w", cellID(cells[1], &spec, seeds[1:2]))
+
+	timedOut := make(chan struct{})
+	execDelay = func(owner string, cell int) {
+		if cell != 0 {
+			return
+		}
+		select {
+		case <-backend.claimed:
+		case <-time.After(5 * time.Second):
+			close(timedOut)
+		}
+	}
+	defer func() { execDelay = nil }()
+
+	opts := stealOptions("w", backend)
+	opts.Parallelism = 2
+	res, err := RunWorker(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-timedOut:
+		t.Fatal("cell 1 was not claimed while cell 0's trial ran: cells do not overlap")
+	default:
+	}
+	if res.Executed != spec.Cells() {
+		t.Fatalf("worker executed %d cells, want %d", res.Executed, spec.Cells())
+	}
+	if got := assembledJSON(t, spec, store); !bytes.Equal(unshardedJSON(t, spec), got) {
+		t.Fatal("pipelined grid differs from the unsharded run")
+	}
+}
+
+// TestRunWorkerRejectsBadLeaseTiming: a lease TTL too short to renew at
+// TTL/2, or a negative TTL or poll interval, is an error up front rather
+// than a panic or a busy loop mid-run.
+func TestRunWorkerRejectsBadLeaseTiming(t *testing.T) {
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		ttl, poll time.Duration
+	}{
+		{"1ns ttl", time.Nanosecond, 0},
+		{"sub-minimum ttl", minLeaseTTL - 1, 0},
+		{"negative ttl", -time.Second, 0},
+		{"negative poll", 0, -time.Millisecond},
+	} {
+		opts := Options{Cache: store, LeaseTTL: c.ttl, Poll: c.poll}
+		if _, err := RunWorker(context.Background(), smallSpec(), opts); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if n, err := store.Len(); err != nil || n != 0 {
+		t.Fatalf("rejected workers wrote %d records (%v)", n, err)
 	}
 }
