@@ -17,45 +17,68 @@
 //	crnsim -protocol dba -arrival bernoulli -rate 0.5 -adversary reactive:8/64
 //	crnsim -model classical:none -protocol robust -arrival batch -n 2000
 //	crnsim -model capture -kappa 8 -protocol unbounded -arrival batch -n 2000
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// (read them with go tool pprof); they never change stdout:
+//
+//	crnsim -n 1000000 -kappa 64 -plot=false -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	crn "repro"
 	"repro/internal/asciiplot"
 	"repro/internal/report"
 )
 
-func main() {
-	model := flag.String("model", "coded", "channel model descriptor: coded[:K[/W]], classical[:none|binary|ternary], capture[:K]")
-	protoName := flag.String("protocol", "dba", "protocol: dba, beb, aloha, genie, mw, robust, unbounded")
-	kappa := flag.Int("kappa", 64, "decoding threshold κ (coded and capture models; dba needs ≥ 6)")
-	arrivalName := flag.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
-	n := flag.Int("n", 10000, "batch size (arrival=batch)")
-	rate := flag.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
-	window := flag.Int64("window", 16384, "burst window length (arrival=burst)")
-	horizon := flag.Int64("horizon", 100000, "slots during which arrivals occur")
-	drain := flag.Bool("drain", true, "keep running after the horizon until the system empties")
-	seed := flag.Uint64("seed", 1, "random seed")
-	alohaP := flag.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
-	adversaryDesc := flag.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
-	latencySamples := flag.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
-	workers := flag.Int("workers", 0, "staged-engine goroutines per run (0 = serial engine; results identical)")
-	plot := flag.Bool("plot", true, "render the backlog time series")
-	tracePath := flag.String("trace", "", "write the backlog time series to this CSV file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses argv, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status (2 for bad usage,
+// 1 for a failed run or output file).
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("crnsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "coded", "channel model descriptor: coded[:K[/W]], classical[:none|binary|ternary], capture[:K]")
+	protoName := fs.String("protocol", "dba", "protocol: dba, beb, aloha, genie, mw, robust, unbounded")
+	kappa := fs.Int("kappa", 64, "decoding threshold κ (coded and capture models; dba needs ≥ 6)")
+	arrivalName := fs.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
+	n := fs.Int("n", 10000, "batch size (arrival=batch)")
+	rate := fs.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
+	window := fs.Int64("window", 16384, "burst window length (arrival=burst)")
+	horizon := fs.Int64("horizon", 100000, "slots during which arrivals occur")
+	drain := fs.Bool("drain", true, "keep running after the horizon until the system empties")
+	seed := fs.Uint64("seed", 1, "random seed")
+	alohaP := fs.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
+	adversaryDesc := fs.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
+	latencySamples := fs.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
+	workers := fs.Int("workers", 0, "staged-engine goroutines per run (0 = serial engine; results identical)")
+	plot := fs.Bool("plot", true, "render the backlog time series")
+	tracePath := fs.String("trace", "", "write the backlog time series to this CSV file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	mspec, err := crn.ParseMedium(*model)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crnsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: %v\n", err)
+		return 2
 	}
 	if *protoName == "dba" && mspec.Model != "coded" {
-		fmt.Fprintf(os.Stderr, "crnsim: dba is defined for the coded model (κ ≥ 6); pick -model coded or another protocol\n")
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: dba is defined for the coded model (κ ≥ 6); pick -model coded or another protocol\n")
+		return 2
 	}
 	// A bare "coded" leaves Medium nil so the engine's defaults (window
 	// cap 4κ) apply; anything else — another model, or a coded descriptor
@@ -64,8 +87,8 @@ func main() {
 	if mspec != (crn.MediumSpec{Model: "coded"}) {
 		med, err = mspec.Build(*kappa, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crnsim: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 2
 		}
 		*kappa = med.Kappa()
 	}
@@ -87,8 +110,8 @@ func main() {
 	case "unbounded":
 		proto = crn.NewUnboundedNoCD(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "crnsim: unknown protocol %q\n", *protoName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: unknown protocol %q\n", *protoName)
+		return 2
 	}
 
 	var arr crn.Arrivals
@@ -107,20 +130,39 @@ func main() {
 	case "burst":
 		arr = crn.NewWindowBurst(*window, int(*rate*float64(*window)))
 	default:
-		fmt.Fprintf(os.Stderr, "crnsim: unknown arrival %q\n", *arrivalName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: unknown arrival %q\n", *arrivalName)
+		return 2
 	}
 
 	adv, err := crn.ParseAdversary(*adversaryDesc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crnsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: %v\n", err)
+		return 2
 	}
 	if crn.IsAdaptiveAdversary(adv) && med != nil && crn.MediumMasksSilence(med) {
-		fmt.Fprintf(os.Stderr, "crnsim: adversary %q reacts to channel feedback, but model %q masks silence; pick a model with channel sensing\n", *adversaryDesc, *model)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "crnsim: adversary %q reacts to channel feedback, but model %q masks silence; pick a model with channel sensing\n", *adversaryDesc, *model)
+		return 2
 	}
 
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "crnsim: %v\n", err)
+				code = 1
+			}
+		}()
+	}
 	res := crn.Run(crn.Config{
 		Kappa:          *kappa,
 		Horizon:        *horizon,
@@ -131,22 +173,28 @@ func main() {
 		Adversary:      adv,
 		Workers:        *workers,
 	}, proto, arr)
+	if *memProfile != "" {
+		if err := writeMemProfile(*memProfile); err != nil {
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
+		}
+	}
 
-	fmt.Printf("protocol:   %s\n", res.Protocol)
-	fmt.Printf("arrivals:   %s (%d packets)\n", res.Arrival, res.Arrivals)
-	fmt.Printf("channel:    %s κ=%d  good=%d bad=%d silent=%d jammed=%d events=%d\n",
+	fmt.Fprintf(stdout, "protocol:   %s\n", res.Protocol)
+	fmt.Fprintf(stdout, "arrivals:   %s (%d packets)\n", res.Arrival, res.Arrivals)
+	fmt.Fprintf(stdout, "channel:    %s κ=%d  good=%d bad=%d silent=%d jammed=%d events=%d\n",
 		res.Medium, res.Kappa, res.Channel.GoodSlots, res.Channel.BadSlots,
 		res.Channel.SilentSlots, res.Channel.JammedSlots, res.Channel.Events)
-	fmt.Printf("delivered:  %d (pending %d) in %d slots\n", res.Delivered, res.Pending, res.Elapsed)
-	fmt.Printf("throughput: %.4f (first arrival to last delivery)\n", res.CompletionThroughput())
-	fmt.Printf("backlog:    max %d\n", res.MaxBacklog)
+	fmt.Fprintf(stdout, "delivered:  %d (pending %d) in %d slots\n", res.Delivered, res.Pending, res.Elapsed)
+	fmt.Fprintf(stdout, "throughput: %.4f (first arrival to last delivery)\n", res.CompletionThroughput())
+	fmt.Fprintf(stdout, "backlog:    max %d\n", res.MaxBacklog)
 	if res.Delivered > 0 {
 		if res.LatencySample != nil {
-			fmt.Printf("latency:    p50=%.0f p99=%.0f max=%.0f mean=%.1f slots\n",
+			fmt.Fprintf(stdout, "latency:    p50=%.0f p99=%.0f max=%.0f mean=%.1f slots\n",
 				res.LatencyQuantile(0.50), res.LatencyQuantile(0.99),
 				res.Latency.Max(), res.Latency.Mean())
 		} else {
-			fmt.Printf("latency:    max=%.0f mean=%.1f slots (quantiles off)\n",
+			fmt.Fprintf(stdout, "latency:    max=%.0f mean=%.1f slots (quantiles off)\n",
 				res.Latency.Max(), res.Latency.Mean())
 		}
 	}
@@ -154,10 +202,10 @@ func main() {
 		err := report.SaveSeriesCSV(*tracePath, "slot", "backlog",
 			res.BacklogSeries.T, res.BacklogSeries.V)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crnsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
 		}
-		fmt.Printf("trace:      %s (%d points)\n", *tracePath, res.BacklogSeries.Len())
+		fmt.Fprintf(stdout, "trace:      %s (%d points)\n", *tracePath, res.BacklogSeries.Len())
 	}
 	if *plot && res.BacklogSeries.Len() > 1 {
 		p := asciiplot.Plot{
@@ -169,7 +217,23 @@ func main() {
 			xs[i] = float64(res.BacklogSeries.T[i])
 		}
 		p.Add(asciiplot.Series{Name: res.Protocol, X: xs, Y: res.BacklogSeries.V})
-		fmt.Println()
-		fmt.Print(p.Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, p.Render())
 	}
+	return 0
+}
+
+// writeMemProfile writes the heap profile's allocation samples,
+// collected over the whole run, to path.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // bring the profile's sampled counts up to date
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

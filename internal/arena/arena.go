@@ -1,22 +1,28 @@
 // Package arena provides a dense, page-recycling replacement for the
 // map[int64]V bookkeeping on the engine's hot path.
 //
-// The engine assigns packet IDs sequentially, delivers them in bursts,
-// and frees their state on delivery (PR 4's backlog-bounded memory
-// contract).  That access pattern — dense monotone keys, a live span
-// that slides forward — is pathological for Go's hash maps (every
-// lookup re-hashes, every delete tombstones) but ideal for a paged
-// array: a key indexes directly into a fixed-size page, occupancy is
-// one bit, and pages whose entries have all been deleted return to a
-// free list so memory tracks the live key span, never total arrivals.
+// It has two users, both keyed by packet ID over the whole backlog: the
+// engine's in-flight table (internal/sim) and the DBA core's packet
+// locations (internal/core).  The engine assigns packet IDs
+// sequentially, delivers them in bursts, and frees their state on
+// delivery (the backlog-bounded memory contract), so their live keys
+// form a dense band that slides forward.  That access pattern is
+// pathological for Go's hash maps (every lookup re-hashes, every delete
+// tombstones) but ideal for a paged array: a key indexes directly into
+// a fixed-size page, occupancy is one bit, and pages whose entries have
+// all been deleted return to a free list so memory tracks the live key
+// span, never total arrivals.  (A small live set scattered over the ID
+// range — the channel's last occurrences — wants a hash table instead;
+// see internal/channel.)
 //
 // The direct-indexed page table covers a window of at most
-// maxSpanPages pages around the live keys; keys landing outside a
-// window that cannot be re-anchored (possible only for key sets
-// spanning more than ~2²⁵ values — fuzzers and adversarial tests, not
-// the engine's sequential IDs) fall back to a page-granular overflow
-// map, keeping every operation correct at hash-lookup speed while the
-// dense window keeps the hot path at array speed.
+// maxSpanPages pages around the live keys and re-anchors in place as
+// the band slides, so a steady sliding window allocates nothing; keys
+// landing outside a window that cannot be re-anchored (possible only
+// for key sets spanning more than ~2²⁵ values — fuzzers and adversarial
+// tests, not the engine's sequential IDs) fall back to a page-granular
+// overflow map, keeping every operation correct at hash-lookup speed
+// while the dense window keeps the hot path at array speed.
 //
 // Index is not safe for concurrent use, matching the structures it
 // replaces.
@@ -227,10 +233,22 @@ func (x *Index[V]) fitWindow(kp int64) bool {
 		}
 		return true
 	}
-	span := newTop - newBase
-	dst := make([]*page[V], span)
-	copy(dst[base-newBase:], x.pages[lo:hi])
-	x.pages = dst
+	// Re-anchor: move the live pages to their offset from newBase and
+	// clear every slot around them, in the existing backing array when
+	// it is large enough — a sliding window re-anchors once per page it
+	// advances, and must not allocate each time.
+	span := int(newTop - newBase)
+	off := int(base - newBase)
+	var dst []*page[V]
+	if span <= cap(x.pages) {
+		dst = x.pages[:max(span, len(x.pages))]
+	} else {
+		dst = make([]*page[V], span, 2*span)
+	}
+	copy(dst[off:], x.pages[lo:hi])
+	clear(dst[:off])
+	clear(dst[off+hi-lo:])
+	x.pages = dst[:span]
 	x.basePage = newBase
 	return true
 }

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -137,6 +138,91 @@ func TestSlidingWindowMemory(t *testing.T) {
 	if x.Len() != window {
 		t.Fatalf("Len = %d, want %d", x.Len(), window)
 	}
+}
+
+// TestReanchorAgainstMap drifts a band of live keys up and down the key
+// space, so the window re-anchors both ways — in place and by growing —
+// and checks every entry against a map after each step.
+func TestReanchorAgainstMap(t *testing.T) {
+	r := rng.New(11)
+	var x Index[int64]
+	ref := map[int64]int64{}
+	center := int64(0)
+	for step := 0; step < 3000; step++ {
+		// A slow random walk with occasional long jumps.
+		center += int64(r.Intn(4*PageSize+1)) - 2*PageSize
+		if r.Intn(50) == 0 {
+			center += int64(r.Intn(200*PageSize)) - 100*PageSize
+		}
+		width := int64(1 + r.Intn(6*PageSize))
+		for k := range ref {
+			if k < center-width || k > center+width {
+				if _, ok := x.Delete(k); !ok {
+					t.Fatalf("step %d: Delete(%d) missed", step, k)
+				}
+				delete(ref, k)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			k := center - width + int64(r.Intn(int(2*width+1)))
+			x.Put(k, int64(step))
+			ref[k] = int64(step)
+		}
+		if x.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, map has %d", step, x.Len(), len(ref))
+		}
+		for k, v := range ref {
+			if got, ok := x.Get(k); !ok || got != v {
+				t.Fatalf("step %d: Get(%d) = %d,%v, want %d", step, k, got, ok, v)
+			}
+		}
+		if p := x.Pages(); p > len(ref) {
+			t.Fatalf("step %d: %d pages mapped for %d keys", step, p, len(ref))
+		}
+	}
+}
+
+// TestSlidingWindowZeroAllocs pins the re-anchor path: a window of 5000
+// live sequential keys sliding forward re-anchors the page table once per
+// page it advances, and after warm-up must reuse the table's backing
+// array (and the free list's pages) instead of allocating.
+func TestSlidingWindowZeroAllocs(t *testing.T) {
+	const (
+		live   = 5000
+		warmup = 100_000
+		keys   = 1_000_000
+	)
+	var x Index[int64]
+	slide := func(from, to int64) {
+		for k := from; k < to; k++ {
+			x.Put(k, k)
+			if k >= live {
+				x.Delete(k - live)
+			}
+		}
+	}
+	slide(0, warmup)
+	// MemStats counts the runtime's own mallocs too: a GC cycle or the
+	// scavenger may allocate a few bytes (worker threads, timer heaps) in
+	// any window.  The index's allocations are deterministic, in every
+	// window or in none, so a window that shows some is retried.
+	var mallocs, bytes uint64
+	runtime.GC()
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		from := warmup + int64(try)*keys
+		slide(from, from+keys)
+		runtime.ReadMemStats(&after)
+		if x.Len() != live {
+			t.Fatalf("Len = %d, want %d", x.Len(), live)
+		}
+		mallocs, bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if mallocs == 0 && bytes == 0 {
+			return
+		}
+	}
+	t.Fatalf("sliding %d keys allocated %d times, %d bytes; want 0", keys, mallocs, bytes)
 }
 
 // TestOverflowFarKeys drives keys too far apart for any dense window —

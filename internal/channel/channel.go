@@ -18,18 +18,19 @@
 // Step is for the measurement harness only.
 //
 // The per-slot path is built to stay off the allocator and out of the
-// map runtime: last-occurrence tracking lives in a paged arena keyed by
-// packet ID (internal/arena), window occupancy is a uint64 bitset
-// (linalg.Bits) so detection scans words instead of entries, duplicate
-// validation sorts a reused scratch slice, and the decoding event and
-// its packet slice are reused across events.
+// map runtime: last-occurrence tracking lives in a small open-addressing
+// table sized to the live set (the packets broadcast since the last
+// decoding event, sparse over the ID range), window occupancy is a
+// uint64 bitset (linalg.Bits) so detection scans words instead of
+// entries, duplicate validation sorts a reused scratch slice, and the
+// decoding event and its packet slice are reused across events.
 package channel
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
-	"repro/internal/arena"
 	"repro/internal/linalg"
 )
 
@@ -111,10 +112,17 @@ type goodEntry struct {
 	members []PacketID
 }
 
+// occRef locates a packet's last occurrence.  The int32 fields keep a
+// last-occurrence slot at 16 bytes: prune rebases abs before it passes
+// rebaseAt, and record refuses a slot that would overflow either field.
 type occRef struct {
-	abs int // absolute index of the goodEntry holding the packet
-	pos int // position within that entry's members slice
+	abs int32 // absolute index of the goodEntry holding the packet (see removeMember)
+	pos int32 // position within that entry's members slice
 }
+
+// rebaseAt bounds firstAbs: a prune that moves it past this rebases
+// every reference to entry 0.
+const rebaseAt = 1 << 30
 
 // Channel is the base station side of the Coded Radio Network Model.
 // It classifies slots and detects decoding events per Definition 1.
@@ -130,9 +138,8 @@ type Channel struct {
 	// so event detection walks only non-empty entries via word scans.
 	occ   linalg.Bits
 	total int
-	// lastOcc maps a packet ID to its most recent broadcast; the paged
-	// arena replaces the map that used to dominate the slot profile.
-	lastOcc arena.Index[occRef]
+	// lastOcc maps a packet ID to its most recent broadcast.
+	lastOcc occTable
 
 	stats Stats
 	// prevTxs caches the last validated transmitter list: epoch-based
@@ -163,8 +170,10 @@ type Channel struct {
 	lastBad bool
 
 	// sdup and flat serve StepSharded (chunked transmitter input from
-	// the staged engine).
-	sdup ShardedDup
+	// the staged engine).  sdup's per-shard buffers are most of a
+	// channel's size, so it is allocated on first use: the serial engine
+	// never pays for it.
+	sdup *ShardedDup
 	flat []PacketID
 }
 
@@ -266,6 +275,9 @@ func (c *Channel) StepSharded(now int64, chunks [][]PacketID, fan FanOut) (SlotC
 		c.lastBad = false
 		return Silent, nil
 	case total > c.kappa:
+		if c.sdup == nil {
+			c.sdup = new(ShardedDup)
+		}
 		c.sdup.Check("channel", chunks, fan)
 		c.stats.BadSlots++
 		c.lastBad = true
@@ -388,7 +400,7 @@ func (c *Channel) prune(now int64) {
 	for pos := c.occ.NextSet(0); pos >= 0 && pos < drop; pos = c.occ.NextSet(pos + 1) {
 		members := c.entries[pos].members
 		for _, id := range members {
-			c.lastOcc.Delete(int64(id))
+			c.lastOcc.Delete(id)
 			c.stats.PrunedPackets++
 		}
 		c.total -= len(members)
@@ -398,6 +410,13 @@ func (c *Channel) prune(now int64) {
 	c.entries = c.entries[drop:]
 	c.firstAbs += drop
 	c.occ.ShiftDown(drop)
+	if c.firstAbs > rebaseAt {
+		// Renumber entries from zero.  A reference below the new first
+		// entry is a stale one whose list moved on (see removeMember), and
+		// it resolves the same from zero as from any lower coordinate.
+		c.lastOcc.Rebase(int32(c.firstAbs))
+		c.firstAbs = 0
+	}
 }
 
 // record appends the good slot and moves each transmitter's last
@@ -410,10 +429,10 @@ func (c *Channel) record(now int64, txs []PacketID) {
 		// Epoch fast path: the previous good slot was the last entry, its
 		// members are untouched (same length, and members only shrink),
 		// and the identical list retransmitted — every last occurrence
-		// moves wholesale.  Steal the member slice and rewrite only the
-		// entry coordinate of each reference; the previous entry empties,
-		// exactly as the general path's per-packet Swap/remove would
-		// leave it.
+		// moves wholesale.  Steal the member slice; the previous entry
+		// empties, exactly as the general path's per-packet Swap/remove
+		// would leave it.  The references keep their old entry
+		// coordinate (see removeMember), so the move is O(1).
 		prev := &c.entries[idx-1]
 		members := prev.members
 		prev.members = nil
@@ -421,17 +440,17 @@ func (c *Channel) record(now int64, txs []PacketID) {
 		c.occ.EnsureBits(idx + 1)
 		c.occ.Clear(idx - 1)
 		c.occ.Set(idx)
-		for pos, id := range members {
-			c.lastOcc.Put(int64(id), occRef{abs: abs, pos: pos})
-		}
 		c.prevRecSlot = now
 		return
+	}
+	if abs+len(txs) > math.MaxInt32 {
+		panic("channel: pending good slots exceed the int32 reference range")
 	}
 	c.entries = append(c.entries, goodEntry{slot: now, members: c.newMembers(len(txs))})
 	c.occ.EnsureBits(idx + 1)
 	e := &c.entries[idx]
 	for _, id := range txs {
-		if ref, ok := c.lastOcc.Swap(int64(id), occRef{abs: abs, pos: len(e.members)}); ok {
+		if ref, ok := c.lastOcc.Swap(id, occRef{abs: int32(abs), pos: int32(len(e.members))}); ok {
 			c.removeMember(ref)
 		}
 		e.members = append(e.members, id)
@@ -444,18 +463,26 @@ func (c *Channel) record(now int64, txs []PacketID) {
 
 // removeMember deletes the packet at ref from its entry's member list by
 // swapping with the last member and fixing the moved packet's reference.
+//
+// ref.abs may be stale: record's fast path moves a whole member list to
+// the next entry without rewriting references, so a reference names the
+// entry where its list was last rebuilt, and every entry from there to
+// the list's current one is empty.  The packet's entry is therefore the
+// first non-empty entry at or after ref.abs.  A prune may have dropped
+// the start of that run, never its end: pruning a non-empty entry drops
+// its members' references.
 func (c *Channel) removeMember(ref occRef) {
-	idx := ref.abs - c.firstAbs
+	idx := c.occ.NextSet(int(ref.abs) - c.firstAbs)
 	if idx < 0 || idx >= len(c.entries) {
-		return // entry already pruned or delivered
+		panic("channel: last-occurrence reference past every tracked entry")
 	}
 	m := c.entries[idx].members
 	last := len(m) - 1
 	moved := m[last]
 	m[ref.pos] = moved
 	c.entries[idx].members = m[:last]
-	if ref.pos != last {
-		c.lastOcc.Put(int64(moved), occRef{abs: ref.abs, pos: ref.pos})
+	if int(ref.pos) != last {
+		c.lastOcc.Put(moved, occRef{abs: int32(c.firstAbs + idx), pos: ref.pos})
 	}
 	c.total--
 	if last == 0 {
@@ -515,7 +542,7 @@ func (c *Channel) reset() {
 	for pos := c.occ.NextSet(0); pos >= 0 && pos < len(c.entries); pos = c.occ.NextSet(pos + 1) {
 		members := c.entries[pos].members
 		for _, id := range members {
-			c.lastOcc.Delete(int64(id))
+			c.lastOcc.Delete(id)
 		}
 		c.recycleMembers(members)
 		c.entries[pos].members = nil
@@ -536,7 +563,9 @@ func (c *Channel) Reset() {
 	c.stats = Stats{}
 	c.prevTxs = c.prevTxs[:0]
 	c.lastBad = false
-	c.sdup.Reset()
+	if c.sdup != nil {
+		c.sdup.Reset()
+	}
 }
 
 // PendingGoodSlots returns the number of good slots currently tracked

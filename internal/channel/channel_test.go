@@ -1,6 +1,9 @@
 package channel
 
 import (
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,30 +290,71 @@ func TestEquivalenceWithReference(t *testing.T) {
 					txs = append(txs, PacketID(p))
 				}
 			}
-			fc, fe := fast.Step(slot, txs)
-			rc, re := ref.Step(slot, txs)
-			if fc != rc {
-				t.Fatalf("trial %d slot %d: class %v vs ref %v", trial, slot, fc, rc)
+			stepAgainstReference(t, trial, slot, fast, ref, txs)
+		}
+	}
+}
+
+// stepAgainstReference steps both detectors with txs and requires the
+// same class and the same event.
+func stepAgainstReference(t *testing.T, trial int, slot int64, fast *Channel, ref *Reference, txs []PacketID) {
+	t.Helper()
+	fc, fe := fast.Step(slot, txs)
+	rc, re := ref.Step(slot, txs)
+	if fc != rc {
+		t.Fatalf("trial %d slot %d: class %v vs ref %v", trial, slot, fc, rc)
+	}
+	if (fe == nil) != (re == nil) {
+		t.Fatalf("trial %d slot %d (kappa=%d win=%d): event %+v vs ref %+v",
+			trial, slot, fast.kappa, fast.maxWindow, fe, re)
+	}
+	if fe != nil {
+		if fe.Slot != re.Slot || fe.WindowStart != re.WindowStart {
+			t.Fatalf("trial %d slot %d: window (%d,%d) vs ref (%d,%d)",
+				trial, slot, fe.WindowStart, fe.Slot, re.WindowStart, re.Slot)
+		}
+		if !slices.Equal(fe.Packets, re.Packets) {
+			t.Fatalf("trial %d slot %d: delivered %v vs ref %v", trial, slot, fe.Packets, re.Packets)
+		}
+	}
+	if fast.Stats().PrunedPackets != ref.Pruned() {
+		t.Fatalf("trial %d slot %d: pruned %d vs ref %d", trial, slot, fast.Stats().PrunedPackets, ref.Pruned())
+	}
+}
+
+// TestRebaseMatchesReference runs TestEquivalenceWithReference's
+// schedules with the entry numbering started just below rebaseAt after
+// every decoding event, so prunes rebase the references — stale ones
+// included — over and over, and the detector must still match the
+// reference exactly.
+func TestRebaseMatchesReference(t *testing.T) {
+	r := rng.New(2025)
+	rebases := 0
+	for trial := 0; trial < 300; trial++ {
+		kappa := 1 + r.Intn(6)
+		maxWindow := 1 + r.Intn(8)
+		numPackets := 1 + r.Intn(10)
+		fast := New(kappa, maxWindow)
+		ref := NewReference(kappa, maxWindow)
+		for slot := int64(0); slot < 80; slot++ {
+			if len(fast.entries) == 0 {
+				fast.firstAbs = rebaseAt - r.Intn(4)
 			}
-			if (fe == nil) != (re == nil) {
-				t.Fatalf("trial %d slot %d (kappa=%d win=%d): event %+v vs ref %+v",
-					trial, slot, kappa, maxWindow, fe, re)
+			before := fast.firstAbs
+			var txs []PacketID
+			for p := 0; p < numPackets; p++ {
+				if r.Bernoulli(0.35) {
+					txs = append(txs, PacketID(p))
+				}
 			}
-			if fe != nil {
-				if fe.Slot != re.Slot || fe.WindowStart != re.WindowStart {
-					t.Fatalf("trial %d slot %d: window (%d,%d) vs ref (%d,%d)",
-						trial, slot, fe.WindowStart, fe.Slot, re.WindowStart, re.Slot)
-				}
-				if len(fe.Packets) != len(re.Packets) {
-					t.Fatalf("trial %d slot %d: delivered %v vs ref %v", trial, slot, fe.Packets, re.Packets)
-				}
-				for i := range fe.Packets {
-					if fe.Packets[i] != re.Packets[i] {
-						t.Fatalf("trial %d slot %d: delivered %v vs ref %v", trial, slot, fe.Packets, re.Packets)
-					}
-				}
+			stepAgainstReference(t, trial, slot, fast, ref, txs)
+			if fast.firstAbs < before && fast.PendingGoodSlots() > 0 {
+				rebases++
 			}
 		}
+	}
+	if rebases < 100 {
+		t.Fatalf("only %d rebases; the schedule does not exercise them", rebases)
 	}
 }
 
@@ -355,6 +399,86 @@ func BenchmarkStepGroupOf16(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkStepSparseGroupOf16 is BenchmarkStepGroupOf16 with each
+// epoch's 16 IDs drawn from [0, 10⁶), as DBA draws its joiners from a
+// large backlog.
+func BenchmarkStepSparseGroupOf16(b *testing.B) {
+	c := New(64, 256)
+	r := rand.New(rand.NewPCG(3, 5))
+	group := make([]PacketID, 16)
+	drawSparse(r, group)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ev := c.Step(int64(i), group); ev != nil {
+			drawSparse(r, group)
+		}
+	}
+}
+
+// drawSparse fills group with distinct IDs drawn from [0, 10⁶).
+func drawSparse(r *rand.Rand, group []PacketID) {
+	for i := range group {
+		id := PacketID(r.IntN(1_000_000))
+		for slices.Contains(group[:i], id) {
+			id = PacketID(r.IntN(1_000_000))
+		}
+		group[i] = id
+	}
+}
+
+// TestSteadyStateZeroAllocs pins the per-packet bookkeeping's
+// allocation contract: groups of 16 distinct IDs drawn from [0, 10⁶)
+// — sparse over the ID range, as DBA's joiners are — step until each
+// decodes, and after warm-up no epoch allocates.  runtime.MemStats
+// counts every malloc over the whole run, where AllocsPerRun would
+// round a fraction per epoch down to zero.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	const (
+		warmup = 1000
+		epochs = 10000
+	)
+	c := New(64, 256)
+	r := rand.New(rand.NewPCG(7, 13))
+	group := make([]PacketID, 16)
+	now := int64(0)
+	epoch := func() {
+		drawSparse(r, group)
+		for {
+			_, ev := c.Step(now, group)
+			now++
+			if ev != nil {
+				if ev.Size() != len(group) {
+					t.Fatalf("event delivered %d packets, want %d", ev.Size(), len(group))
+				}
+				return
+			}
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		epoch()
+	}
+	// MemStats counts the runtime's own mallocs too: a GC cycle or the
+	// scavenger may allocate a few bytes (worker threads, timer heaps) in
+	// any window.  The detector's allocations are deterministic, in every
+	// window or in none, so a window that shows some is retried.
+	var mallocs, bytes uint64
+	runtime.GC()
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < epochs; i++ {
+			epoch()
+		}
+		runtime.ReadMemStats(&after)
+		mallocs, bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if mallocs == 0 && bytes == 0 {
+			return
+		}
+	}
+	t.Fatalf("%d epochs allocated %d times, %d bytes (%.3f allocs/epoch); want 0",
+		epochs, mallocs, bytes, float64(mallocs)/epochs)
 }
 
 // TestQuickProperties uses testing/quick to fuzz schedules and assert

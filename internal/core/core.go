@@ -108,10 +108,20 @@ const (
 	inJoiners
 )
 
+// location is 12 bytes: base and idx are int32 (loc32 says why that is
+// exact), which halves the arena's working set on the per-epoch paths.
 type location struct {
+	base  int32 // bucket base when where == inBucket
+	idx   int32 // index within the containing slice
 	where where
-	base  int // bucket base when where == inBucket
-	idx   int // index within the containing slice
+}
+
+// loc32 packs a location.  The int32 conversions are exact: idx is
+// below Pending, which Inject keeps within int32, and every bucket base
+// is some exponent in [0, eCap] minus a shift that moveShift keeps
+// within int32 the same way.
+func loc32(w where, base, idx int) location {
+	return location{where: w, base: int32(base), idx: int32(idx)}
 }
 
 type joiner struct {
@@ -227,12 +237,15 @@ func (d *DecodableBackoff) prob(e int) float64 {
 // Inject implements protocol.Protocol.  Arrivals enter the inactive
 // stage (or activate immediately if admission control is disabled).
 func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
+	if d.Pending()+len(ids) > math.MaxInt32 {
+		panic("core: pending packets exceed the int32 location index")
+	}
 	for _, id := range ids {
 		if d.loc.Has(int64(id)) {
 			panic(fmt.Sprintf("core: duplicate injection of packet %d", id))
 		}
 		if d.admission {
-			d.loc.Put(int64(id), location{where: inInactive, idx: len(d.inactive)})
+			d.loc.Put(int64(id), loc32(inInactive, 0, len(d.inactive)))
 			d.inactive = append(d.inactive, id)
 		} else {
 			d.addActive(id)
@@ -249,7 +262,7 @@ func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
 // probability p0).
 func (d *DecodableBackoff) addActive(id channel.PacketID) {
 	b := d.getBucket(0 - d.shift)
-	d.loc.Put(int64(id), location{where: inBucket, base: b.base, idx: len(b.ids)})
+	d.loc.Put(int64(id), loc32(inBucket, b.base, len(b.ids)))
 	b.ids = append(b.ids, id)
 	d.active++
 }
@@ -376,7 +389,7 @@ func (d *DecodableBackoff) startEpoch(now int64) {
 			idx := d.txScratch[k]
 			id := b.ids[idx]
 			d.removeFromBucket(b, idx)
-			d.loc.Put(int64(id), location{where: inJoiners, idx: len(d.joiners)})
+			d.loc.Put(int64(id), loc32(inJoiners, 0, len(d.joiners)))
 			d.joiners = append(d.joiners, joiner{id: id, base: b.base})
 		}
 	}
@@ -408,7 +421,7 @@ func (d *DecodableBackoff) removeFromBucket(b *bucket, idx int) {
 	b.ids[idx] = moved
 	b.ids = b.ids[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inBucket, base: b.base, idx: idx})
+		d.loc.Put(int64(moved), loc32(inBucket, b.base, idx))
 	}
 	d.active--
 }
@@ -504,15 +517,15 @@ func (d *DecodableBackoff) endSuccessful(fb channel.Feedback) {
 		}
 		switch l.where {
 		case inJoiners:
-			d.removeJoiner(l.idx)
+			d.removeJoiner(int(l.idx))
 		case inBucket:
 			// A straggler delivered from an earlier window; possible only
 			// with exotic channel configurations, but handle it.
-			b := d.findBucket(l.base)
-			d.removeFromBucket(b, l.idx)
+			b := d.findBucket(int(l.base))
+			d.removeFromBucket(b, int(l.idx))
 			d.dropBucketIfEmpty(b)
 		case inInactive:
-			d.removeInactive(l.idx)
+			d.removeInactive(int(l.idx))
 		}
 		d.loc.Delete(int64(id))
 		d.shardPending[int(id)%protocol.NumShards]--
@@ -536,7 +549,7 @@ func (d *DecodableBackoff) endSilent() {
 		return
 	}
 	isError := d.epochCont >= math.Pow(float64(d.kappa), 0.25)
-	d.shift++
+	d.moveShift(+1)
 	d.mergeCapped()
 	for _, id := range d.inactive {
 		d.addActive(id) // overwrites the inactive location
@@ -551,10 +564,20 @@ func (d *DecodableBackoff) endSilent() {
 // probability drops by one factor step.
 func (d *DecodableBackoff) endOverfull() {
 	isError := d.epochCont <= math.Pow(float64(d.kappa), 0.75)
-	d.shift--
+	d.moveShift(-1)
 	d.returnJoiners(0)
 	d.stats.OverfullEpochs++
 	d.finishEpoch(protocol.EpochOverfull, isError)
+}
+
+// moveShift moves the global exponent shift by delta, keeping the
+// bucket bases it will mint (exponents 0..eCap minus the shift) within
+// the int32 a location stores.
+func (d *DecodableBackoff) moveShift(delta int) {
+	d.shift += delta
+	if -d.shift < math.MinInt32 || d.eCap-d.shift > math.MaxInt32 {
+		panic(fmt.Sprintf("core: exponent shift %d leaves the int32 bucket-base range", d.shift))
+	}
 }
 
 // mergeCapped folds every bucket whose effective exponent now exceeds the
@@ -574,7 +597,7 @@ func (d *DecodableBackoff) mergeCapped() {
 	dst := d.getBucket(capBase)
 	for _, b := range over {
 		for _, id := range b.ids {
-			d.loc.Put(int64(id), location{where: inBucket, base: dst.base, idx: len(dst.ids)})
+			d.loc.Put(int64(id), loc32(inBucket, dst.base, len(dst.ids)))
 			dst.ids = append(dst.ids, id)
 		}
 		b.ids = b.ids[:0]
@@ -589,7 +612,7 @@ func (d *DecodableBackoff) mergeCapped() {
 func (d *DecodableBackoff) returnJoiners(from int) {
 	for _, j := range d.joiners[from:] {
 		b := d.getBucket(j.base)
-		d.loc.Put(int64(j.id), location{where: inBucket, base: b.base, idx: len(b.ids)})
+		d.loc.Put(int64(j.id), loc32(inBucket, b.base, len(b.ids)))
 		b.ids = append(b.ids, j.id)
 		d.active++
 	}
@@ -603,7 +626,7 @@ func (d *DecodableBackoff) removeJoiner(idx int) {
 	d.joiners[idx] = moved
 	d.joiners = d.joiners[:last]
 	if idx != last {
-		d.loc.Put(int64(moved.id), location{where: inJoiners, idx: idx})
+		d.loc.Put(int64(moved.id), loc32(inJoiners, 0, idx))
 	}
 }
 
@@ -614,7 +637,7 @@ func (d *DecodableBackoff) removeInactive(idx int) {
 	d.inactive[idx] = moved
 	d.inactive = d.inactive[:last]
 	if idx != last {
-		d.loc.Put(int64(moved), location{where: inInactive, idx: idx})
+		d.loc.Put(int64(moved), loc32(inInactive, 0, idx))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/channel"
 	"repro/internal/rng"
@@ -39,7 +40,7 @@ func checkInvariants(t *testing.T, d *DecodableBackoff) {
 		}
 		for i, id := range b.ids {
 			l, ok := d.loc.Get(int64(id))
-			if !ok || l.where != inBucket || l.base != b.base || l.idx != i {
+			if !ok || l.where != inBucket || int(l.base) != b.base || int(l.idx) != i {
 				t.Fatalf("packet %d bucket location desynced: %+v", id, l)
 			}
 			total++
@@ -47,14 +48,14 @@ func checkInvariants(t *testing.T, d *DecodableBackoff) {
 	}
 	for i, j := range d.joiners {
 		l, ok := d.loc.Get(int64(j.id))
-		if !ok || l.where != inJoiners || l.idx != i {
+		if !ok || l.where != inJoiners || int(l.idx) != i {
 			t.Fatalf("joiner %d location desynced: %+v", j.id, l)
 		}
 		total++
 	}
 	for i, id := range d.inactive {
 		l, ok := d.loc.Get(int64(id))
-		if !ok || l.where != inInactive || l.idx != i {
+		if !ok || l.where != inInactive || int(l.idx) != i {
 			t.Fatalf("inactive %d location desynced: %+v", id, l)
 		}
 		total++
@@ -297,4 +298,37 @@ func TestProbCapAndFloor(t *testing.T) {
 	if p := d2.prob(2); p != 1 {
 		t.Fatalf("prob(2) = %v, want 1 (capped)", p)
 	}
+}
+
+// TestLocationRangeGuards pins the int32 packing of location: it stays
+// 12 bytes, Inject refuses a population whose indices would not fit,
+// and the exponent shift refuses to mint a bucket base outside int32.
+func TestLocationRangeGuards(t *testing.T) {
+	if got := unsafe.Sizeof(location{}); got != 12 {
+		t.Fatalf("location is %d bytes, want 12", got)
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	d := New(16, rng.New(1))
+	d.active = math.MaxInt32
+	mustPanic("Inject past MaxInt32 pending", func() { d.Inject(0, []channel.PacketID{1}) })
+
+	// Bases minted are k - shift for k in [0, eCap]; the valid shifts
+	// are [eCap - MaxInt32, -MinInt32].
+	d = New(16, rng.New(1))
+	d.shift = d.eCap - math.MaxInt32 + 1
+	d.moveShift(-1) // eCap - shift == MaxInt32: still fits
+	mustPanic("overfull shift past the int32 base range", func() { d.moveShift(-1) })
+
+	d = New(16, rng.New(1))
+	d.shift = math.MaxInt32
+	d.moveShift(+1) // -shift == MinInt32: still fits
+	mustPanic("silent shift past the int32 base range", func() { d.moveShift(+1) })
 }
