@@ -19,9 +19,11 @@
 //	crnsim -model capture -kappa 8 -protocol unbounded -arrival batch -n 2000
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
-// (read them with go tool pprof); they never change stdout:
+// (read them with go tool pprof), and -exectrace a runtime/trace
+// execution trace (read it with go tool trace); they never change stdout:
 //
 //	crnsim -n 1000000 -kappa 64 -plot=false -cpuprofile cpu.out -memprofile mem.out
+//	crnsim -n 1000000 -kappa 64 -plot=false -exectrace trace.out
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 
 	crn "repro"
 	"repro/internal/asciiplot"
@@ -64,6 +67,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	tracePath := fs.String("trace", "", "write the backlog time series to this CSV file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	execTrace := fs.String("exectrace", "", "write a runtime execution trace of the run to this file")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -157,6 +161,25 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		}
 		defer func() {
 			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "crnsim: %v\n", err)
+				code = 1
+			}
+		}()
+	}
+	if *execTrace != "" {
+		f, err := os.Create(*execTrace)
+		if err != nil {
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
+		}
+		if err := trace.Start(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "crnsim: %v\n", err)
+			return 1
+		}
+		defer func() {
+			trace.Stop()
 			if err := f.Close(); err != nil {
 				fmt.Fprintf(stderr, "crnsim: %v\n", err)
 				code = 1

@@ -16,8 +16,8 @@ func runCLI(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// TestProfileFlags checks that -cpuprofile and -memprofile write
-// non-empty profiles and leave stdout byte-identical.
+// TestProfileFlags checks that -cpuprofile, -memprofile and -exectrace
+// write non-empty profiles and traces and leave stdout byte-identical.
 func TestProfileFlags(t *testing.T) {
 	args := []string{"-n", "20000", "-kappa", "64", "-plot=false"}
 	plain := runCLI(t, args...)
@@ -27,7 +27,11 @@ func TestProfileFlags(t *testing.T) {
 	if profiled != plain {
 		t.Fatalf("profiling changed stdout:\n%s\nvs\n%s", profiled, plain)
 	}
-	for _, path := range []string{cpu, mem} {
+	exec := filepath.Join(dir, "trace.out")
+	if traced := runCLI(t, append(args, "-exectrace", exec)...); traced != plain {
+		t.Fatalf("execution tracing changed stdout:\n%s\nvs\n%s", traced, plain)
+	}
+	for _, path := range []string{cpu, mem, exec} {
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +44,7 @@ func TestProfileFlags(t *testing.T) {
 
 func TestProfileFlagBadPath(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
-	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+	for _, flag := range []string{"-cpuprofile", "-memprofile", "-exectrace"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-n", "10", "-plot=false", flag, bad}, &stdout, &stderr); code != 1 {
 			t.Fatalf("%s to a missing directory: exit %d, want 1", flag, code)

@@ -1,19 +1,22 @@
-// Package arena provides a dense, page-recycling replacement for the
-// map[int64]V bookkeeping on the engine's hot path.
+// Package arena provides a dense, page-recycling live set of int64
+// keys for the engine's per-packet bookkeeping.
 //
 // It has two users, both keyed by packet ID over the whole backlog: the
-// engine's in-flight table (internal/sim) and the DBA core's packet
-// locations (internal/core).  The engine assigns packet IDs
-// sequentially, delivers them in bursts, and frees their state on
-// delivery (the backlog-bounded memory contract), so their live keys
-// form a dense band that slides forward.  That access pattern is
-// pathological for Go's hash maps (every lookup re-hashes, every delete
-// tombstones) but ideal for a paged array: a key indexes directly into
-// a fixed-size page, occupancy is one bit, and pages whose entries have
-// all been deleted return to a free list so memory tracks the live key
-// span, never total arrivals.  (A small live set scattered over the ID
-// range — the channel's last occurrences — wants a hash table instead;
-// see internal/channel.)
+// engine's in-flight set (internal/sim) and the DBA core's pending set
+// (internal/core).  Neither stores a value per packet: the engine
+// recovers inject slots from its run list and the DBA core finds a
+// packet in its joiner list, so all either needs from a key is whether
+// it is live.  The engine assigns packet IDs sequentially, delivers
+// them in bursts, and frees their state on delivery (the
+// backlog-bounded memory contract), so the live keys form a dense band
+// that slides forward.  That access pattern is pathological for Go's
+// hash maps (every lookup re-hashes, every delete tombstones) but ideal
+// for a paged bitmap: a key indexes directly into a fixed-size page,
+// occupancy is one bit, and pages whose keys have all been deleted
+// return to a free list so memory tracks the live key span, never total
+// arrivals.  (A small live set scattered over the ID range — the
+// channel's last occurrences — wants a hash table instead; see
+// internal/channel.)
 //
 // The direct-indexed page table covers a window of at most
 // maxSpanPages pages around the live keys and re-anchors in place as
@@ -24,7 +27,7 @@
 // overflow map, keeping every operation correct at hash-lookup speed
 // while the dense window keeps the hot path at array speed.
 //
-// Index is not safe for concurrent use, matching the structures it
+// Set is not safe for concurrent use, matching the structures it
 // replaces.
 package arena
 
@@ -35,10 +38,9 @@ import (
 
 const (
 	pageBits = 9
-	// PageSize is the number of key slots per page.  512 entries keeps a
-	// page of small values within a few KiB — large enough to amortize
-	// the indirection, small enough that a sparse key set does not
-	// strand much memory per touched page.
+	// PageSize is the number of keys per page.  A page is its 64-byte
+	// occupancy bitmap plus a live count — 72 bytes per 512 keys — so a
+	// sparse key set strands little memory per touched page.
 	PageSize = 1 << pageBits
 	pageMask = PageSize - 1
 
@@ -49,106 +51,75 @@ const (
 	maxSpanPages = 1 << 16
 )
 
-// page holds one aligned block of PageSize key slots: an occupancy
-// bitmap, the values, and a live count so a fully-vacated page can be
-// recycled in O(1).
-type page[V any] struct {
+// page holds one aligned block of PageSize keys: an occupancy bitmap
+// and a live count so a fully-vacated page can be recycled in O(1).
+type page struct {
 	occ  [PageSize / 64]uint64
 	live int
-	vals [PageSize]V
 }
 
-// Index maps int64 keys to values of type V.  The zero value is an
-// empty index ready for use.  Lookups and updates are O(1); memory is
-// proportional to the number of pages holding live keys.
-//
-// Values should be pointer-free (the structures this package replaces
-// all are): a deleted slot's value is zeroed, but recycled pages keep
-// their backing arrays alive, so pointer-bearing values would still
-// pin one page's worth of garbage per free-list entry.
-type Index[V any] struct {
+// Set is a set of int64 keys.  The zero value is an empty set ready for
+// use.  Membership updates and lookups are O(1); memory is proportional
+// to the number of pages holding live keys.
+type Set struct {
 	basePage int64 // page number (key >> pageBits) of pages[0]
-	pages    []*page[V]
-	over     map[int64]*page[V] // pages outside the dense window, by page number
-	free     []*page[V]
+	pages    []*page
+	over     map[int64]*page // pages outside the dense window, by page number
+	free     []*page
 	n        int
 }
 
-// Len returns the number of live entries.
-func (x *Index[V]) Len() int { return x.n }
-
-// locate returns the page and in-page slot for key, or a nil page when
-// the key's page is not mapped.
-func (x *Index[V]) locate(key int64) (*page[V], int64) {
-	pi := (key >> pageBits) - x.basePage
-	if pi >= 0 && pi < int64(len(x.pages)) {
-		return x.pages[pi], key & pageMask
-	}
-	if x.over != nil {
-		return x.over[key>>pageBits], key & pageMask
-	}
-	return nil, key & pageMask
-}
-
-// Get returns the value stored under key.
-func (x *Index[V]) Get(key int64) (V, bool) {
-	p, s := x.locate(key)
-	if p == nil || p.occ[s>>6]&(1<<uint(s&63)) == 0 {
-		var zero V
-		return zero, false
-	}
-	return p.vals[s], true
-}
+// Len returns the number of live keys.
+func (x *Set) Len() int { return x.n }
 
 // Has reports whether key is present.
-func (x *Index[V]) Has(key int64) bool {
-	p, s := x.locate(key)
+func (x *Set) Has(key int64) bool {
+	var p *page
+	pi := (key >> pageBits) - x.basePage
+	if pi >= 0 && pi < int64(len(x.pages)) {
+		p = x.pages[pi]
+	} else if x.over != nil {
+		p = x.over[key>>pageBits]
+	}
+	s := key & pageMask
 	return p != nil && p.occ[s>>6]&(1<<uint(s&63)) != 0
 }
 
-// Put stores v under key, inserting or overwriting.
-func (x *Index[V]) Put(key int64, v V) { x.Swap(key, v) }
-
-// Swap stores v under key and returns the previous value, if any.
-func (x *Index[V]) Swap(key int64, v V) (V, bool) {
-	p, s := x.ensure(key)
+// Put adds key, reporting false (and changing nothing) if it was
+// already present.
+func (x *Set) Put(key int64) bool {
+	p := x.ensure(key)
+	s := key & pageMask
 	w, b := s>>6, uint64(1)<<uint(s&63)
 	if p.occ[w]&b != 0 {
-		old := p.vals[s]
-		p.vals[s] = v
-		return old, true
+		return false
 	}
 	p.occ[w] |= b
 	p.live++
 	x.n++
-	p.vals[s] = v
-	var zero V
-	return zero, false
+	return true
 }
 
-// Delete removes key, returning the value it held.  A page whose last
-// entry is deleted moves to the free list immediately.
-func (x *Index[V]) Delete(key int64) (V, bool) {
+// Delete removes key, reporting whether it was present.  A page whose
+// last key is deleted moves to the free list immediately.
+func (x *Set) Delete(key int64) bool {
 	kp := key >> pageBits
 	pi := kp - x.basePage
 	inWindow := pi >= 0 && pi < int64(len(x.pages))
-	var p *page[V]
+	var p *page
 	if inWindow {
 		p = x.pages[pi]
 	} else if x.over != nil {
 		p = x.over[kp]
 	}
-	var zero V
 	if p == nil {
-		return zero, false
+		return false
 	}
 	s := key & pageMask
 	w, b := s>>6, uint64(1)<<uint(s&63)
 	if p.occ[w]&b == 0 {
-		return zero, false
+		return false
 	}
-	v := p.vals[s]
-	p.vals[s] = zero
 	p.occ[w] &^= b
 	p.live--
 	x.n--
@@ -160,45 +131,44 @@ func (x *Index[V]) Delete(key int64) (V, bool) {
 		}
 		x.free = append(x.free, p)
 	}
-	return v, true
+	return true
 }
 
 // ensure returns the page for key, mapping it if necessary: from the
 // dense window when the key fits (re-anchoring the window to the live
 // span first), from the overflow map otherwise.
-func (x *Index[V]) ensure(key int64) (*page[V], int64) {
+func (x *Set) ensure(key int64) *page {
 	kp := key >> pageBits
-	s := key & pageMask
 	pi := kp - x.basePage
 	if pi >= 0 && pi < int64(len(x.pages)) {
 		if p := x.pages[pi]; p != nil {
-			return p, s
+			return p
 		}
 		p := x.newPage()
 		x.pages[pi] = p
-		return p, s
+		return p
 	}
 	if p := x.over[kp]; p != nil {
-		return p, s
+		return p
 	}
 	if x.fitWindow(kp) {
 		p := x.newPage()
 		x.pages[kp-x.basePage] = p
-		return p, s
+		return p
 	}
 	if x.over == nil {
-		x.over = make(map[int64]*page[V])
+		x.over = make(map[int64]*page)
 	}
 	p := x.newPage()
 	x.over[kp] = p
-	return p, s
+	return p
 }
 
 // fitWindow tries to re-anchor the dense window so page kp indexes into
 // it, trimming vacated edge pages first so a sliding key window (the
 // engine's sequential IDs) reuses a bounded page table.  It reports
 // false when the live span plus kp would exceed maxSpanPages.
-func (x *Index[V]) fitWindow(kp int64) bool {
+func (x *Set) fitWindow(kp int64) bool {
 	lo, hi := 0, len(x.pages)
 	for lo < hi && x.pages[lo] == nil {
 		lo++
@@ -239,11 +209,11 @@ func (x *Index[V]) fitWindow(kp int64) bool {
 	// advances, and must not allocate each time.
 	span := int(newTop - newBase)
 	off := int(base - newBase)
-	var dst []*page[V]
+	var dst []*page
 	if span <= cap(x.pages) {
 		dst = x.pages[:max(span, len(x.pages))]
 	} else {
-		dst = make([]*page[V], span, 2*span)
+		dst = make([]*page, span, 2*span)
 	}
 	copy(dst[off:], x.pages[lo:hi])
 	clear(dst[:off])
@@ -254,32 +224,28 @@ func (x *Index[V]) fitWindow(kp int64) bool {
 }
 
 // newPage takes a page from the free list or allocates one.
-func (x *Index[V]) newPage() *page[V] {
+func (x *Set) newPage() *page {
 	if n := len(x.free); n > 0 {
 		p := x.free[n-1]
 		x.free[n-1] = nil
 		x.free = x.free[:n-1]
 		return p
 	}
-	return new(page[V])
+	return new(page)
 }
 
-// Reset empties the index, recycling every mapped page.
-func (x *Index[V]) Reset() {
+// Reset empties the set, recycling every mapped page.
+func (x *Set) Reset() {
 	for i, p := range x.pages {
 		if p == nil {
 			continue
 		}
-		if p.live > 0 {
-			*p = page[V]{}
-		}
+		*p = page{}
 		x.free = append(x.free, p)
 		x.pages[i] = nil
 	}
 	for kp, p := range x.over {
-		if p.live > 0 {
-			*p = page[V]{}
-		}
+		*p = page{}
 		x.free = append(x.free, p)
 		delete(x.over, kp)
 	}
@@ -290,7 +256,7 @@ func (x *Index[V]) Reset() {
 
 // Pages returns the number of currently mapped pages (diagnostics and
 // memory-bound tests).
-func (x *Index[V]) Pages() int {
+func (x *Set) Pages() int {
 	n := len(x.over)
 	for _, p := range x.pages {
 		if p != nil {
@@ -300,9 +266,9 @@ func (x *Index[V]) Pages() int {
 	return n
 }
 
-// Range calls f for every live entry until f returns false.  Iteration
-// order is ascending by key.
-func (x *Index[V]) Range(f func(key int64, v V) bool) {
+// Range calls f for every live key until f returns false.  Iteration
+// order is ascending.
+func (x *Set) Range(f func(key int64) bool) {
 	if len(x.over) == 0 {
 		for pi, p := range x.pages {
 			if p != nil && !rangePage(x.basePage+int64(pi), p, f) {
@@ -333,12 +299,11 @@ func (x *Index[V]) Range(f func(key int64, v V) bool) {
 	}
 }
 
-func rangePage[V any](kp int64, p *page[V], f func(key int64, v V) bool) bool {
+func rangePage(kp int64, p *page, f func(key int64) bool) bool {
 	base := kp << pageBits
 	for w, word := range p.occ {
 		for word != 0 {
-			s := int64(w<<6) + int64(bits.TrailingZeros64(word))
-			if !f(base+s, p.vals[s]) {
+			if !f(base + int64(w<<6) + int64(bits.TrailingZeros64(word))) {
 				return false
 			}
 			word &= word - 1

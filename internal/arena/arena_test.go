@@ -8,35 +8,36 @@ import (
 )
 
 func TestBasicOps(t *testing.T) {
-	var x Index[int]
+	var x Set
 	if x.Len() != 0 {
 		t.Fatalf("empty Len = %d", x.Len())
 	}
-	if _, ok := x.Get(0); ok {
-		t.Fatal("Get on empty index succeeded")
+	if x.Has(0) {
+		t.Fatal("Has on empty set succeeded")
 	}
-	x.Put(5, 50)
-	x.Put(5, 51) // overwrite
-	x.Put(-3, 30)
-	x.Put(1<<40, 40)
+	if !x.Put(5) {
+		t.Fatal("first Put(5) reported present")
+	}
+	if x.Put(5) {
+		t.Fatal("second Put(5) reported absent")
+	}
+	x.Put(-3)
+	x.Put(1 << 40)
 	if x.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", x.Len())
 	}
-	for _, c := range []struct {
-		k int64
-		v int
-	}{{5, 51}, {-3, 30}, {1 << 40, 40}} {
-		if v, ok := x.Get(c.k); !ok || v != c.v {
-			t.Fatalf("Get(%d) = %d,%v want %d,true", c.k, v, ok, c.v)
+	for _, k := range []int64{5, -3, 1 << 40} {
+		if !x.Has(k) {
+			t.Fatalf("Has(%d) = false", k)
 		}
 	}
-	if old, ok := x.Swap(5, 52); !ok || old != 51 {
-		t.Fatalf("Swap(5) = %d,%v want 51,true", old, ok)
+	if x.Has(6) || x.Has(-4) {
+		t.Fatal("Has reports a key never put")
 	}
-	if v, ok := x.Delete(5); !ok || v != 52 {
-		t.Fatalf("Delete(5) = %d,%v want 52,true", v, ok)
+	if !x.Delete(5) {
+		t.Fatal("Delete(5) missed")
 	}
-	if _, ok := x.Delete(5); ok {
+	if x.Delete(5) {
 		t.Fatal("double Delete succeeded")
 	}
 	if x.Has(5) {
@@ -49,18 +50,18 @@ func TestBasicOps(t *testing.T) {
 	if x.Len() != 0 || x.Pages() != 0 {
 		t.Fatalf("after Reset: Len=%d Pages=%d", x.Len(), x.Pages())
 	}
-	if _, ok := x.Get(-3); ok {
-		t.Fatal("Get after Reset succeeded")
+	if x.Has(-3) {
+		t.Fatal("Has after Reset succeeded")
 	}
 }
 
-// TestAgainstMap drives the index and a plain map with the same random
+// TestAgainstMap drives the set and a plain map with the same random
 // operation stream, including negative and widely-spaced keys, and
-// requires identical contents throughout.
+// requires identical membership throughout.
 func TestAgainstMap(t *testing.T) {
 	r := rng.New(7)
-	var x Index[int64]
-	ref := map[int64]int64{}
+	var x Set
+	ref := map[int64]bool{}
 	keys := make([]int64, 0, 256)
 	randKey := func() int64 {
 		switch r.Intn(4) {
@@ -81,22 +82,19 @@ func TestAgainstMap(t *testing.T) {
 		k := randKey()
 		switch r.Intn(3) {
 		case 0:
-			v := int64(i)
-			x.Put(k, v)
-			ref[k] = v
+			if got := x.Put(k); got == ref[k] {
+				t.Fatalf("op %d: Put(%d) = %v with the key present=%v", i, k, got, ref[k])
+			}
+			ref[k] = true
 			keys = append(keys, k)
 		case 1:
-			got, gotOK := x.Delete(k)
-			want, wantOK := ref[k]
-			if gotOK != wantOK || got != want {
-				t.Fatalf("op %d: Delete(%d) = %d,%v want %d,%v", i, k, got, gotOK, want, wantOK)
+			if got := x.Delete(k); got != ref[k] {
+				t.Fatalf("op %d: Delete(%d) = %v want %v", i, k, got, ref[k])
 			}
 			delete(ref, k)
 		case 2:
-			got, gotOK := x.Get(k)
-			want, wantOK := ref[k]
-			if gotOK != wantOK || got != want {
-				t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", i, k, got, gotOK, want, wantOK)
+			if got := x.Has(k); got != ref[k] {
+				t.Fatalf("op %d: Has(%d) = %v want %v", i, k, got, ref[k])
 			}
 		}
 		if x.Len() != len(ref) {
@@ -105,9 +103,9 @@ func TestAgainstMap(t *testing.T) {
 	}
 	// Full-content check via Range.
 	seen := 0
-	x.Range(func(k int64, v int64) bool {
-		if want, ok := ref[k]; !ok || want != v {
-			t.Fatalf("Range visited (%d,%d); map says %d,%v", k, v, want, ok)
+	x.Range(func(k int64) bool {
+		if !ref[k] {
+			t.Fatalf("Range visited %d, which the map lacks", k)
 		}
 		seen++
 		return true
@@ -122,12 +120,12 @@ func TestAgainstMap(t *testing.T) {
 // count must track the live span, not the total number of keys ever
 // inserted — this is the backlog-bounded memory contract.
 func TestSlidingWindowMemory(t *testing.T) {
-	var x Index[int64]
+	var x Set
 	const window = 3 * PageSize
 	for k := int64(0); k < 100*PageSize; k++ {
-		x.Put(k, k)
+		x.Put(k)
 		if k >= window {
-			if _, ok := x.Delete(k - window); !ok {
+			if !x.Delete(k - window) {
 				t.Fatalf("Delete(%d) missed", k-window)
 			}
 		}
@@ -145,8 +143,8 @@ func TestSlidingWindowMemory(t *testing.T) {
 // and checks every entry against a map after each step.
 func TestReanchorAgainstMap(t *testing.T) {
 	r := rng.New(11)
-	var x Index[int64]
-	ref := map[int64]int64{}
+	var x Set
+	ref := map[int64]bool{}
 	center := int64(0)
 	for step := 0; step < 3000; step++ {
 		// A slow random walk with occasional long jumps.
@@ -157,7 +155,7 @@ func TestReanchorAgainstMap(t *testing.T) {
 		width := int64(1 + r.Intn(6*PageSize))
 		for k := range ref {
 			if k < center-width || k > center+width {
-				if _, ok := x.Delete(k); !ok {
+				if !x.Delete(k) {
 					t.Fatalf("step %d: Delete(%d) missed", step, k)
 				}
 				delete(ref, k)
@@ -165,15 +163,15 @@ func TestReanchorAgainstMap(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			k := center - width + int64(r.Intn(int(2*width+1)))
-			x.Put(k, int64(step))
-			ref[k] = int64(step)
+			x.Put(k)
+			ref[k] = true
 		}
 		if x.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, map has %d", step, x.Len(), len(ref))
 		}
-		for k, v := range ref {
-			if got, ok := x.Get(k); !ok || got != v {
-				t.Fatalf("step %d: Get(%d) = %d,%v, want %d", step, k, got, ok, v)
+		for k := range ref {
+			if !x.Has(k) {
+				t.Fatalf("step %d: Has(%d) = false", step, k)
 			}
 		}
 		if p := x.Pages(); p > len(ref) {
@@ -192,10 +190,10 @@ func TestSlidingWindowZeroAllocs(t *testing.T) {
 		warmup = 100_000
 		keys   = 1_000_000
 	)
-	var x Index[int64]
+	var x Set
 	slide := func(from, to int64) {
 		for k := from; k < to; k++ {
-			x.Put(k, k)
+			x.Put(k)
 			if k >= live {
 				x.Delete(k - live)
 			}
@@ -204,7 +202,7 @@ func TestSlidingWindowZeroAllocs(t *testing.T) {
 	slide(0, warmup)
 	// MemStats counts the runtime's own mallocs too: a GC cycle or the
 	// scavenger may allocate a few bytes (worker threads, timer heaps) in
-	// any window.  The index's allocations are deterministic, in every
+	// any window.  The set's allocations are deterministic, in every
 	// window or in none, so a window that shows some is retried.
 	var mallocs, bytes uint64
 	runtime.GC()
@@ -229,18 +227,21 @@ func TestSlidingWindowZeroAllocs(t *testing.T) {
 // the overflow-directory path — interleaved with dense keys, checking
 // contents, page accounting, deletion, ordered iteration, and Reset.
 func TestOverflowFarKeys(t *testing.T) {
-	var x Index[int64]
+	var x Set
 	keys := []int64{0, 1, PageSize, -PageSize,
 		1 << 30, 1 << 40, 1<<62 - 1, -(1 << 40), -(1 << 30)}
-	for i, k := range keys {
-		x.Put(k, int64(i))
+	for _, k := range keys {
+		x.Put(k)
 	}
 	if x.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", x.Len(), len(keys))
 	}
-	for i, k := range keys {
-		if v, ok := x.Get(k); !ok || v != int64(i) {
-			t.Fatalf("Get(%d) = %d,%v want %d,true", k, v, ok, i)
+	for _, k := range keys {
+		if !x.Has(k) {
+			t.Fatalf("Has(%d) = false", k)
+		}
+		if x.Has(k + 2) {
+			t.Fatalf("Has(%d) = true for a key never put", k+2)
 		}
 	}
 	// Every key is on its own page except 0 and 1.
@@ -249,7 +250,7 @@ func TestOverflowFarKeys(t *testing.T) {
 	}
 	prev := int64(-1 << 62)
 	seen := 0
-	x.Range(func(k int64, _ int64) bool {
+	x.Range(func(k int64) bool {
 		if k <= prev {
 			t.Fatalf("Range out of order: %d after %d", k, prev)
 		}
@@ -260,18 +261,18 @@ func TestOverflowFarKeys(t *testing.T) {
 	if seen != len(keys) {
 		t.Fatalf("Range visited %d, want %d", seen, len(keys))
 	}
-	for i, k := range keys {
-		if v, ok := x.Delete(k); !ok || v != int64(i) {
-			t.Fatalf("Delete(%d) = %d,%v want %d,true", k, v, ok, i)
+	for _, k := range keys {
+		if !x.Delete(k) {
+			t.Fatalf("Delete(%d) missed", k)
 		}
 	}
 	if x.Len() != 0 || x.Pages() != 0 {
 		t.Fatalf("after deletes: Len=%d Pages=%d", x.Len(), x.Pages())
 	}
 	// Re-anchor after full vacation: a far key restarts the window.
-	x.Put(1<<50, 7)
-	if v, ok := x.Get(1 << 50); !ok || v != 7 {
-		t.Fatalf("Get after re-anchor = %d,%v", v, ok)
+	x.Put(1 << 50)
+	if !x.Has(1 << 50) {
+		t.Fatal("Has after re-anchor = false")
 	}
 	x.Reset()
 	if x.Len() != 0 || x.Pages() != 0 {
@@ -281,12 +282,12 @@ func TestOverflowFarKeys(t *testing.T) {
 
 // TestRangeOrder checks ascending-key iteration across pages.
 func TestRangeOrder(t *testing.T) {
-	var x Index[int]
+	var x Set
 	for _, k := range []int64{900, -5, 0, 511, 512, 513, 1 << 30} {
-		x.Put(k, 1)
+		x.Put(k)
 	}
 	prev := int64(-1 << 62)
-	x.Range(func(k int64, _ int) bool {
+	x.Range(func(k int64) bool {
 		if k <= prev {
 			t.Fatalf("Range out of order: %d after %d", k, prev)
 		}

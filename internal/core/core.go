@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arena"
@@ -99,31 +100,6 @@ type bucket struct {
 	ids  []channel.PacketID
 }
 
-// location tracks where a packet currently lives so deliveries are O(1).
-type where uint8
-
-const (
-	inInactive where = iota
-	inBucket
-	inJoiners
-)
-
-// location is 12 bytes: base and idx are int32 (loc32 says why that is
-// exact), which halves the arena's working set on the per-epoch paths.
-type location struct {
-	base  int32 // bucket base when where == inBucket
-	idx   int32 // index within the containing slice
-	where where
-}
-
-// loc32 packs a location.  The int32 conversions are exact: idx is
-// below Pending, which Inject keeps within int32, and every bucket base
-// is some exponent in [0, eCap] minus a shift that moveShift keeps
-// within int32 the same way.
-func loc32(w where, base, idx int) location {
-	return location{where: w, base: int32(base), idx: int32(idx)}
-}
-
 type joiner struct {
 	id   channel.PacketID
 	base int // bucket base the packet came from (for overfull reinsertion)
@@ -148,12 +124,13 @@ type DecodableBackoff struct {
 	overScratch []*bucket
 	inactive    []channel.PacketID
 	joiners     []joiner
-	// loc tracks where each pending packet lives so deliveries are O(1).
-	// A paged arena keyed by packet ID: arrival order keeps live IDs in a
-	// dense band, so the arena is both faster than a map on the per-epoch
-	// paths and bounded by the backlog span (pages of departed bands are
-	// recycled).
-	loc arena.Index[location]
+	// live is the set of pending packet IDs: exactly the union of the
+	// buckets, joiners, and inactive.  It stores no location — a
+	// delivered packet is looked up in the (small) joiner list, where
+	// nearly every delivery is found — so the per-epoch paths touch no
+	// per-packet table at all.  Arrival order keeps live IDs in a dense
+	// band, so its pages track the backlog span.
+	live arena.Set
 
 	active int // packets currently in buckets (excludes joiners and inactive)
 	// shardPending counts pending packets per engine shard (keyed by
@@ -237,15 +214,14 @@ func (d *DecodableBackoff) prob(e int) float64 {
 // Inject implements protocol.Protocol.  Arrivals enter the inactive
 // stage (or activate immediately if admission control is disabled).
 func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
-	if d.Pending()+len(ids) > math.MaxInt32 {
-		panic("core: pending packets exceed the int32 location index")
+	if d.admission {
+		d.inactive = slices.Grow(d.inactive, len(ids))
 	}
 	for _, id := range ids {
-		if d.loc.Has(int64(id)) {
+		if !d.live.Put(int64(id)) {
 			panic(fmt.Sprintf("core: duplicate injection of packet %d", id))
 		}
 		if d.admission {
-			d.loc.Put(int64(id), loc32(inInactive, 0, len(d.inactive)))
 			d.inactive = append(d.inactive, id)
 		} else {
 			d.addActive(id)
@@ -262,7 +238,6 @@ func (d *DecodableBackoff) Inject(now int64, ids []channel.PacketID) {
 // probability p0).
 func (d *DecodableBackoff) addActive(id channel.PacketID) {
 	b := d.getBucket(0 - d.shift)
-	d.loc.Put(int64(id), loc32(inBucket, b.base, len(b.ids)))
 	b.ids = append(b.ids, id)
 	d.active++
 }
@@ -296,15 +271,6 @@ func (d *DecodableBackoff) getBucket(base int) *bucket {
 	copy(d.buckets[i+1:], d.buckets[i:])
 	d.buckets[i] = b
 	return b
-}
-
-// findBucket returns the bucket with the given base; it must exist.
-func (d *DecodableBackoff) findBucket(base int) *bucket {
-	i, found := d.bucketAt(base)
-	if !found {
-		panic(fmt.Sprintf("core: no bucket with base %d", base))
-	}
-	return d.buckets[i]
 }
 
 // recycleBucket stashes an empty bucket struct for reuse.
@@ -389,7 +355,6 @@ func (d *DecodableBackoff) startEpoch(now int64) {
 			idx := d.txScratch[k]
 			id := b.ids[idx]
 			d.removeFromBucket(b, idx)
-			d.loc.Put(int64(id), loc32(inJoiners, 0, len(d.joiners)))
 			d.joiners = append(d.joiners, joiner{id: id, base: b.base})
 		}
 	}
@@ -413,16 +378,11 @@ func (d *DecodableBackoff) compactBuckets() {
 	d.buckets = out
 }
 
-// removeFromBucket swap-deletes index idx from bucket b, fixing the moved
-// packet's location.
+// removeFromBucket swap-deletes index idx from bucket b.
 func (d *DecodableBackoff) removeFromBucket(b *bucket, idx int) {
 	last := len(b.ids) - 1
-	moved := b.ids[last]
-	b.ids[idx] = moved
+	b.ids[idx] = b.ids[last]
 	b.ids = b.ids[:last]
-	if idx != last {
-		d.loc.Put(int64(moved), loc32(inBucket, b.base, idx))
-	}
 	d.active--
 }
 
@@ -511,23 +471,10 @@ func (d *DecodableBackoff) Observe(fb channel.Feedback) {
 // system; all other probabilities are unchanged.
 func (d *DecodableBackoff) endSuccessful(fb channel.Feedback) {
 	for _, id := range fb.Event.Packets {
-		l, ok := d.loc.Get(int64(id))
-		if !ok {
+		if !d.live.Delete(int64(id)) {
 			continue // not ours (possible only in multi-protocol setups)
 		}
-		switch l.where {
-		case inJoiners:
-			d.removeJoiner(int(l.idx))
-		case inBucket:
-			// A straggler delivered from an earlier window; possible only
-			// with exotic channel configurations, but handle it.
-			b := d.findBucket(int(l.base))
-			d.removeFromBucket(b, int(l.idx))
-			d.dropBucketIfEmpty(b)
-		case inInactive:
-			d.removeInactive(int(l.idx))
-		}
-		d.loc.Delete(int64(id))
+		d.remove(id)
 		d.shardPending[int(id)%protocol.NumShards]--
 		d.stats.Delivered++
 	}
@@ -536,6 +483,38 @@ func (d *DecodableBackoff) endSuccessful(fb channel.Feedback) {
 	d.returnJoiners(0)
 	d.stats.SuccessfulEpochs++
 	d.finishEpoch(protocol.EpochSuccessful, false)
+}
+
+// remove takes a delivered pending packet out of whichever list holds
+// it, by swap-delete at the index where it is found.  The lists are
+// searched in order of likelihood: the epoch's joiners (every delivery
+// on a well-formed epoch), then the buckets — a straggler, a packet
+// that joined an earlier epoch of the decoding window, went back to
+// its bucket, and was decoded now; rare, and most recently appended,
+// so each bucket is scanned from its end — then the inactive list,
+// whose packets never transmit (possible only with exotic channel
+// configurations).
+func (d *DecodableBackoff) remove(id channel.PacketID) {
+	for i := range d.joiners {
+		if d.joiners[i].id == id {
+			d.removeJoiner(i)
+			return
+		}
+	}
+	for _, b := range d.buckets {
+		for i := len(b.ids) - 1; i >= 0; i-- {
+			if b.ids[i] == id {
+				d.removeFromBucket(b, i)
+				d.dropBucketIfEmpty(b)
+				return
+			}
+		}
+	}
+	if i := slices.Index(d.inactive, id); i >= 0 {
+		d.removeInactive(i)
+		return
+	}
+	panic(fmt.Sprintf("core: pending packet %d is in no population list", id))
 }
 
 // endSilent finishes a silent epoch: every active packet's probability
@@ -549,13 +528,15 @@ func (d *DecodableBackoff) endSilent() {
 		return
 	}
 	isError := d.epochCont >= math.Pow(float64(d.kappa), 0.25)
-	d.moveShift(+1)
+	d.shift++
 	d.mergeCapped()
-	for _, id := range d.inactive {
-		d.addActive(id) // overwrites the inactive location
-		d.stats.Activations++
+	if n := len(d.inactive); n > 0 {
+		b := d.getBucket(0 - d.shift)
+		b.ids = append(slices.Grow(b.ids, n), d.inactive...)
+		d.active += n
+		d.stats.Activations += int64(n)
+		d.inactive = d.inactive[:0]
 	}
-	d.inactive = d.inactive[:0]
 	d.stats.SilentEpochs++
 	d.finishEpoch(protocol.EpochSilent, isError)
 }
@@ -564,20 +545,10 @@ func (d *DecodableBackoff) endSilent() {
 // probability drops by one factor step.
 func (d *DecodableBackoff) endOverfull() {
 	isError := d.epochCont <= math.Pow(float64(d.kappa), 0.75)
-	d.moveShift(-1)
+	d.shift--
 	d.returnJoiners(0)
 	d.stats.OverfullEpochs++
 	d.finishEpoch(protocol.EpochOverfull, isError)
-}
-
-// moveShift moves the global exponent shift by delta, keeping the
-// bucket bases it will mint (exponents 0..eCap minus the shift) within
-// the int32 a location stores.
-func (d *DecodableBackoff) moveShift(delta int) {
-	d.shift += delta
-	if -d.shift < math.MinInt32 || d.eCap-d.shift > math.MaxInt32 {
-		panic(fmt.Sprintf("core: exponent shift %d leaves the int32 bucket-base range", d.shift))
-	}
 }
 
 // mergeCapped folds every bucket whose effective exponent now exceeds the
@@ -596,10 +567,7 @@ func (d *DecodableBackoff) mergeCapped() {
 	}
 	dst := d.getBucket(capBase)
 	for _, b := range over {
-		for _, id := range b.ids {
-			d.loc.Put(int64(id), loc32(inBucket, dst.base, len(dst.ids)))
-			dst.ids = append(dst.ids, id)
-		}
+		dst.ids = append(dst.ids, b.ids...)
 		b.ids = b.ids[:0]
 	}
 	for i := range over {
@@ -612,7 +580,6 @@ func (d *DecodableBackoff) mergeCapped() {
 func (d *DecodableBackoff) returnJoiners(from int) {
 	for _, j := range d.joiners[from:] {
 		b := d.getBucket(j.base)
-		d.loc.Put(int64(j.id), loc32(inBucket, b.base, len(b.ids)))
 		b.ids = append(b.ids, j.id)
 		d.active++
 	}
@@ -622,23 +589,15 @@ func (d *DecodableBackoff) returnJoiners(from int) {
 // removeJoiner swap-deletes the joiner at idx.
 func (d *DecodableBackoff) removeJoiner(idx int) {
 	last := len(d.joiners) - 1
-	moved := d.joiners[last]
-	d.joiners[idx] = moved
+	d.joiners[idx] = d.joiners[last]
 	d.joiners = d.joiners[:last]
-	if idx != last {
-		d.loc.Put(int64(moved.id), loc32(inJoiners, 0, idx))
-	}
 }
 
 // removeInactive swap-deletes the inactive packet at idx.
 func (d *DecodableBackoff) removeInactive(idx int) {
 	last := len(d.inactive) - 1
-	moved := d.inactive[last]
-	d.inactive[idx] = moved
+	d.inactive[idx] = d.inactive[last]
 	d.inactive = d.inactive[:last]
-	if idx != last {
-		d.loc.Put(int64(moved), loc32(inInactive, 0, idx))
-	}
 }
 
 // finishEpoch reports the completed epoch to the observer and resets the

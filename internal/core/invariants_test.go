@@ -3,25 +3,37 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
-	"unsafe"
 
+	"repro/internal/adversary"
 	"repro/internal/channel"
+	"repro/internal/medium"
 	"repro/internal/rng"
 )
 
 // checkInvariants verifies the structural invariants of the bucketed
 // population after every step:
 //
-//   - location map is exactly the union of buckets, joiners, inactive;
-//   - every location reference is accurate;
+//   - the live set is exactly the union of buckets, joiners, inactive,
+//     and no packet is in two of them;
 //   - buckets are sorted by base, non-empty between epochs, and no
 //     effective exponent exceeds the cap;
 //   - all probabilities are in (0, 1];
-//   - Pending() equals the population size.
+//   - Pending() equals the live set's size.
 func checkInvariants(t *testing.T, d *DecodableBackoff) {
 	t.Helper()
-	total := 0
+	seen := make(map[channel.PacketID]string)
+	member := func(id channel.PacketID, where string) {
+		t.Helper()
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("packet %d is in %s and %s", id, prev, where)
+		}
+		seen[id] = where
+		if !d.live.Has(int64(id)) {
+			t.Fatalf("packet %d in %s is missing from the live set", id, where)
+		}
+	}
 	prevBase := math.MinInt64
 	for _, b := range d.buckets {
 		if b.base <= prevBase {
@@ -38,33 +50,22 @@ func checkInvariants(t *testing.T, d *DecodableBackoff) {
 		if p <= 0 || p > 1 {
 			t.Fatalf("bucket probability %v out of (0,1]", p)
 		}
-		for i, id := range b.ids {
-			l, ok := d.loc.Get(int64(id))
-			if !ok || l.where != inBucket || int(l.base) != b.base || int(l.idx) != i {
-				t.Fatalf("packet %d bucket location desynced: %+v", id, l)
-			}
-			total++
+		for _, id := range b.ids {
+			member(id, fmt.Sprintf("bucket %d", b.base))
 		}
 	}
-	for i, j := range d.joiners {
-		l, ok := d.loc.Get(int64(j.id))
-		if !ok || l.where != inJoiners || int(l.idx) != i {
-			t.Fatalf("joiner %d location desynced: %+v", j.id, l)
-		}
-		total++
+	for _, j := range d.joiners {
+		member(j.id, "joiners")
 	}
-	for i, id := range d.inactive {
-		l, ok := d.loc.Get(int64(id))
-		if !ok || l.where != inInactive || int(l.idx) != i {
-			t.Fatalf("inactive %d location desynced: %+v", id, l)
-		}
-		total++
+	for _, id := range d.inactive {
+		member(id, "inactive")
 	}
-	if total != d.loc.Len() {
-		t.Fatalf("location index has %d entries, population has %d", d.loc.Len(), total)
+	total := len(seen)
+	if total != d.live.Len() {
+		t.Fatalf("live set has %d packets, population has %d", d.live.Len(), total)
 	}
-	if d.Pending() != total {
-		t.Fatalf("Pending() = %d, population = %d", d.Pending(), total)
+	if d.Pending() != d.live.Len() {
+		t.Fatalf("Pending() = %d, live set = %d", d.Pending(), d.live.Len())
 	}
 	if d.active != total-len(d.joiners)-len(d.inactive) {
 		t.Fatalf("active counter desynced: %d", d.active)
@@ -300,35 +301,139 @@ func TestProbCapAndFloor(t *testing.T) {
 	}
 }
 
-// TestLocationRangeGuards pins the int32 packing of location: it stays
-// 12 bytes, Inject refuses a population whose indices would not fit,
-// and the exponent shift refuses to mint a bucket base outside int32.
-func TestLocationRangeGuards(t *testing.T) {
-	if got := unsafe.Sizeof(location{}); got != 12 {
-		t.Fatalf("location is %d bytes, want 12", got)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
+// TestDeliveryPaths delivers one packet from each place a pending
+// packet can be — the epoch's joiners, a bucket (a straggler: it joined
+// an earlier epoch of the decoding window and went back), the inactive
+// list — and one packet the protocol never owned, beside the current
+// joiners.  Each must leave exactly the named packets pending and keep
+// every invariant.
+func TestDeliveryPaths(t *testing.T) {
+	const kappa = 16
+	// setup injects 40 packets, activates 32 of them with a silent
+	// epoch, and leaves 8 inactive; it then runs one overfull epoch (κ
+	// busy slots, no event), so its joiners go back to their buckets,
+	// and starts another.  It returns a straggler from the overfull
+	// epoch that is in a bucket now.
+	setup := func(t *testing.T) (*DecodableBackoff, channel.PacketID) {
+		d := New(kappa, rng.New(11), WithInitialProb(0.5))
+		ids := make([]channel.PacketID, 32)
+		for i := range ids {
+			ids[i] = channel.PacketID(i)
+		}
+		d.Inject(0, ids)
+		d.Transmitters(0, nil)
+		d.Observe(channel.Feedback{Slot: 0, Silent: true})
+		d.Inject(1, []channel.PacketID{32, 33, 34, 35, 36, 37, 38, 39})
+		now := int64(1)
+		first := d.Transmitters(now, nil)
+		if len(first) == 0 {
+			t.Fatal("overfull epoch drew no joiners")
+		}
+		for ; d.inEpoch; now++ {
+			d.Transmitters(now, nil)
+			d.Observe(channel.Feedback{Slot: now})
+		}
+		d.Transmitters(now, nil) // next epoch: new joiners
+		checkInvariants(t, d)
+		for _, id := range first {
+			if !slices.ContainsFunc(d.joiners, func(j joiner) bool { return j.id == id }) {
+				return d, id
 			}
-		}()
-		f()
+		}
+		t.Fatal("every straggler candidate joined again")
+		return nil, 0
 	}
-	d := New(16, rng.New(1))
-	d.active = math.MaxInt32
-	mustPanic("Inject past MaxInt32 pending", func() { d.Inject(0, []channel.PacketID{1}) })
+	cases := []struct {
+		name   string
+		pick   func(d *DecodableBackoff, straggler channel.PacketID) channel.PacketID
+		ours   bool
+		inList func(d *DecodableBackoff, id channel.PacketID) bool
+	}{
+		{"joiner", func(d *DecodableBackoff, _ channel.PacketID) channel.PacketID { return d.joiners[0].id }, true,
+			func(d *DecodableBackoff, id channel.PacketID) bool {
+				return slices.ContainsFunc(d.joiners, func(j joiner) bool { return j.id == id })
+			}},
+		{"bucket-straggler", func(_ *DecodableBackoff, s channel.PacketID) channel.PacketID { return s }, true,
+			func(d *DecodableBackoff, id channel.PacketID) bool {
+				return slices.ContainsFunc(d.buckets, func(b *bucket) bool { return slices.Contains(b.ids, id) })
+			}},
+		{"inactive", func(d *DecodableBackoff, _ channel.PacketID) channel.PacketID { return d.inactive[3] }, true,
+			func(d *DecodableBackoff, id channel.PacketID) bool { return slices.Contains(d.inactive, id) }},
+		{"foreign", func(*DecodableBackoff, channel.PacketID) channel.PacketID { return 1000 }, false,
+			func(*DecodableBackoff, channel.PacketID) bool { return true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, straggler := setup(t)
+			id := tc.pick(d, straggler)
+			if !tc.inList(d, id) {
+				t.Fatalf("packet %d is not where the case needs it", id)
+			}
+			// Deliver the packet together with the epoch's other joiners,
+			// so the joiner swap-deletes run around it.
+			event := []channel.PacketID{id}
+			for _, j := range d.joiners {
+				if j.id != id {
+					event = append(event, j.id)
+				}
+			}
+			pending, delivered := d.Pending(), d.Stats().Delivered
+			d.Observe(channel.Feedback{Slot: 100, Event: &channel.Event{Slot: 100, Packets: event}})
+			checkInvariants(t, d)
+			want := len(event) - 1
+			if tc.ours {
+				want++
+				if d.live.Has(int64(id)) {
+					t.Fatalf("packet %d still live after delivery", id)
+				}
+			}
+			if got := pending - d.Pending(); got != want {
+				t.Fatalf("delivery removed %d packets, want %d", got, want)
+			}
+			if got := d.Stats().Delivered - delivered; got != int64(want) {
+				t.Fatalf("Delivered grew by %d, want %d", got, want)
+			}
+		})
+	}
+}
 
-	// Bases minted are k - shift for k in [0, eCap]; the valid shifts
-	// are [eCap - MaxInt32, -MinInt32].
-	d = New(16, rng.New(1))
-	d.shift = d.eCap - math.MaxInt32 + 1
-	d.moveShift(-1) // eCap - shift == MaxInt32: still fits
-	mustPanic("overfull shift past the int32 base range", func() { d.moveShift(-1) })
-
-	d = New(16, rng.New(1))
-	d.shift = math.MaxInt32
-	d.moveShift(+1) // -shift == MinInt32: still fits
-	mustPanic("silent shift past the int32 base range", func() { d.moveShift(+1) })
+// TestStragglersUnderJamming runs DBA on a coded channel behind a
+// reactive jammer, the configuration in which decoding windows span
+// several epochs, and checks the invariants after every slot while
+// counting the deliveries the bucket-straggler path served.
+func TestStragglersUnderJamming(t *testing.T) {
+	const kappa = 16
+	adv, err := adversary.Parse("reactive:2/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := medium.JamAdversary(medium.NewCoded(kappa, 4*kappa), adv.(adversary.Jammer), 9)
+	d := New(kappa, rng.New(12))
+	ids := make([]channel.PacketID, 500)
+	for i := range ids {
+		ids[i] = channel.PacketID(i)
+	}
+	d.Inject(0, ids)
+	stragglers, delivered := 0, 0
+	var buf []channel.PacketID
+	var fb channel.Feedback
+	for now := int64(0); now < 40_000 && d.Pending() > 0; now++ {
+		buf = d.Transmitters(now, buf[:0])
+		_, ev := m.Step(now, buf)
+		m.Feedback(&fb)
+		if ev != nil {
+			for _, id := range ev.Packets {
+				if slices.ContainsFunc(d.buckets, func(b *bucket) bool { return slices.Contains(b.ids, id) }) {
+					stragglers++
+				}
+			}
+			delivered += len(ev.Packets)
+		}
+		d.Observe(fb)
+		checkInvariants(t, d)
+	}
+	if stragglers == 0 {
+		t.Fatalf("no straggler among %d deliveries: the bucket path went undriven", delivered)
+	}
+	t.Logf("%d of %d deliveries were bucket stragglers", stragglers, delivered)
 }

@@ -97,13 +97,14 @@ func E10Ablations(scale Scale, seed uint64) *Output {
 			"variant", "late mean backlog", "final backlog", "delivered frac", "error epochs")
 		for _, v := range variants {
 			v := v
-			var errEpochs int64
+			// Trials run concurrently: each writes only its own slot.
+			errEpochs := make([]int64, trials)
 			results := sim.RunTrials(trials, seed+uint64(len(v.name))*7, 0,
 				func(trial int, s uint64) *sim.Result {
 					d := core.New(kappa, rng.New(s^0xB10), v.opts...)
 					res := sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Seed: s},
 						d, sc.mk())
-					errEpochs += d.Stats().ErrorEpochs
+					errEpochs[trial] = d.Stats().ErrorEpochs
 					return res
 				})
 			late := sim.Aggregate(results, func(r *sim.Result) float64 {
@@ -116,7 +117,7 @@ func E10Ablations(scale Scale, seed uint64) *Output {
 				}
 				return float64(r.Delivered) / float64(r.Arrivals)
 			})
-			tbl.AddRow(v.name, late.Mean(), final.Mean(), frac.Mean(), errEpochs/int64(trials))
+			tbl.AddRow(v.name, late.Mean(), final.Mean(), frac.Mean(), sum(errEpochs)/int64(trials))
 		}
 		out.Tables = append(out.Tables, tbl)
 	}

@@ -120,3 +120,12 @@ func boolMark(ok bool) string {
 	}
 	return "NO"
 }
+
+// sum adds up per-trial counters.
+func sum(xs []int64) int64 {
+	var t int64
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}

@@ -139,12 +139,18 @@ func (r *Rand) Geometric(p float64) int64 {
 	if p == 1 {
 		return 0
 	}
+	return r.geometric(math.Log1p(-p))
+}
+
+// geometric draws Geometric(p) given logQ = ln(1-p) for p in (0, 1),
+// so loops drawing many skips with one p compute the logarithm once.
+func (r *Rand) geometric(logQ float64) int64 {
 	// Inversion: floor(ln U / ln(1-p)), U uniform in (0, 1).
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	g := math.Floor(math.Log(u) / logQ)
 	if g < 0 {
 		return 0
 	}
@@ -174,10 +180,11 @@ func (r *Rand) Binomial(n int64, p float64) int64 {
 		return n - r.Binomial(n, 1-p)
 	}
 	var successes int64
-	i := r.Geometric(p)
+	logQ := math.Log1p(-p)
+	i := r.geometric(logQ)
 	for i < n {
 		successes++
-		i += 1 + r.Geometric(p)
+		i += 1 + r.geometric(logQ)
 	}
 	return successes
 }
@@ -243,10 +250,11 @@ func (r *Rand) SampleIndices(dst []int, n int, p float64) []int {
 		}
 		return dst
 	}
-	i := r.Geometric(p)
+	logQ := math.Log1p(-p)
+	i := r.geometric(logQ)
 	for i < int64(n) {
 		dst = append(dst, int(i))
-		i += 1 + r.Geometric(p)
+		i += 1 + r.geometric(logQ)
 	}
 	return dst
 }

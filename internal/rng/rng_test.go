@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -289,6 +290,46 @@ func TestSampleIndicesProperties(t *testing.T) {
 	mean := float64(total) / trials
 	if math.Abs(mean-n*p) > 3 {
 		t.Fatalf("SampleIndices mean %v, want %v", mean, n*p)
+	}
+}
+
+// TestSampleIndicesMatchesGeometricSkips pins SampleIndices (and
+// Binomial) to the chained Geometric skips they are defined by: the same
+// indices from a same-seed stream, and the streams left in the same
+// state.  Computing ln(1-p) once per call must not move a single draw.
+func TestSampleIndicesMatchesGeometricSkips(t *testing.T) {
+	for _, p := range []float64{1e-6, 1 / math.Sqrt(64), 0.5, 0.999} {
+		for _, n := range []int{1, 1000, 1 << 20} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				ref := New(seed)
+				var want []int
+				for i := ref.Geometric(p); i < int64(n); i += 1 + ref.Geometric(p) {
+					want = append(want, int(i))
+				}
+				r := New(seed)
+				got := r.SampleIndices(nil, n, p)
+				if !slices.Equal(got, want) {
+					t.Fatalf("p=%v n=%d seed=%d: SampleIndices picked %d indices, chained skips %d (or different ones)",
+						p, n, seed, len(got), len(want))
+				}
+				if r.Uint64() != ref.Uint64() {
+					t.Fatalf("p=%v n=%d seed=%d: streams diverged after the draw", p, n, seed)
+				}
+
+				q := min(p, 1-p) // Binomial skips over the rarer outcome
+				ref, r = New(seed), New(seed)
+				var k int64
+				for i := ref.Geometric(q); i < int64(n); i += 1 + ref.Geometric(q) {
+					k++
+				}
+				if q != p {
+					k = int64(n) - k
+				}
+				if b := r.Binomial(int64(n), p); b != k || r.Uint64() != ref.Uint64() {
+					t.Fatalf("p=%v n=%d seed=%d: Binomial = %d, chained skips count %d", p, n, seed, b, k)
+				}
+			}
+		}
 	}
 }
 

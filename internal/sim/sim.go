@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/arena"
@@ -135,10 +136,12 @@ type Result struct {
 	Elapsed      int64 // total slots simulated (including drain)
 
 	MaxBacklog int
-	// PeakInFlight is the high-water mark of the engine's per-packet
-	// bookkeeping (packets injected but not yet delivered).  Entries
-	// are freed on delivery, so engine memory is proportional to this —
-	// which tracks MaxBacklog — never to total arrivals.
+	// PeakInFlight is the high-water mark of the packets the engine has
+	// injected but not yet seen delivered.  The engine's per-packet
+	// bookkeeping is one live bit per such packet plus at most two
+	// inject-slot records per packet, freed on delivery, so engine
+	// memory is proportional to this — which tracks MaxBacklog — never
+	// to total arrivals.
 	PeakInFlight  int
 	BacklogSeries *stats.Series
 
@@ -208,34 +211,73 @@ const advSeedSalt = 0x414456 // "ADV"
 // from every other consumer of Config.Seed.
 const latSeedSalt = 0x4c4154 // "LAT"
 
-// inflight tracks the inject slot of every in-flight packet.  Entries
-// are freed on delivery, so the retained bookkeeping is proportional to
-// the instantaneous backlog (peak records the high-water mark) — never
-// to total arrivals — which is what lets batch runs scale to millions
-// of packets in bounded memory.  Packet IDs are issued sequentially, so
-// the live IDs form a dense sliding band: the paged arena keeps lookups
-// off the map runtime and recycles the pages of departed bands, which
-// preserves the backlog-proportional memory bound.
+// inflight tracks the packets injected but not yet delivered and
+// recovers each one's inject slot on delivery, in memory proportional
+// to the instantaneous backlog (peak records the high-water mark) —
+// never to total arrivals — which is what lets batch runs scale to
+// millions of packets in bounded memory.
+//
+// It stores no per-packet value.  Packet IDs are issued sequentially
+// and inject slots never decrease, so the slot of any live ID follows
+// from a short list of runs, one per injecting slot: a 10⁶-packet batch
+// is one run, a Bernoulli stream about one per arrival slot.  A
+// delivery finds its run by binary search.  Runs whose IDs have all
+// been delivered are dropped once they are the majority, so the list
+// holds at most twice as many runs as live packets, however long one
+// packet starves.  The live set (one bit per ID on recycled pages)
+// keeps a duplicate or unknown delivery a loud failure.
 type inflight struct {
-	at   arena.Index[int64]
+	live arena.Set
+	runs []injectRun // ascending by first; every live ID's run is listed
+	dead int         // runs in the list with no live ID left
 	peak int
+}
+
+// injectRun is the IDs one slot injected: first, first+1, ... up to the
+// next run's first.
+type injectRun struct {
+	first int64 // first packet ID of the run
+	slot  int64 // the slot that injected it
+	live  int   // IDs of the run not yet delivered
 }
 
 func newInflight() *inflight { return &inflight{} }
 
-// add records a packet injected at the given slot.
-func (f *inflight) add(id channel.PacketID, slot int64) {
-	f.at.Put(int64(id), slot)
-	if n := f.at.Len(); n > f.peak {
-		f.peak = n
+// add records n packets with sequential IDs from first, injected at the
+// given slot.
+func (f *inflight) add(first channel.PacketID, n int, slot int64) {
+	for id := int64(first); id < int64(first)+int64(n); id++ {
+		f.live.Put(id)
 	}
+	f.runs = append(f.runs, injectRun{first: int64(first), slot: slot, live: n})
+	f.peak = max(f.peak, f.live.Len())
 }
 
-// take returns a packet's inject slot and frees its entry.
+// take returns a packet's inject slot and forgets the packet.
 func (f *inflight) take(id channel.PacketID) int64 {
-	slot, ok := f.at.Delete(int64(id))
-	if !ok {
+	if !f.live.Delete(int64(id)) {
 		panic(fmt.Sprintf("sim: delivery of unknown packet %d", id))
+	}
+	// id's run is the last one starting at or before it: a dropped run
+	// held only delivered IDs, so it never stood between.
+	lo, hi := 0, len(f.runs)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if f.runs[mid].first <= int64(id) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	r := &f.runs[lo]
+	r.live--
+	slot := r.slot
+	if r.live == 0 {
+		f.dead++
+		if 2*f.dead > len(f.runs) {
+			f.runs = slices.DeleteFunc(f.runs, func(r injectRun) bool { return r.live == 0 })
+			f.dead = 0
+		}
 	}
 	return slot
 }
