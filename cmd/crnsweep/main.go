@@ -86,7 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	arrivals := fs.String("arrivals", "bernoulli", "comma-separated arrivals: batch, bernoulli, poisson, even, burst")
 	kappas := fs.String("kappas", "8,64", "comma-separated decoding thresholds")
 	rates := fs.String("rates", "0.3,0.6", "comma-separated offered loads")
-	jammers := fs.String("jammers", "none", "comma-separated jammers: none, random:RATE, periodic:PERIOD/BURST")
+	jammers := fs.String("jammers", "none", "comma-separated jammers: none, random:RATE, periodic:PERIOD/BURST (BURST jammed slots per PERIOD, i.e. the adversary burst:BURST/PERIOD-BURST)")
 	adversaries := fs.String("adversaries", "none", "comma-separated adversaries: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
 	trials := fs.Int("trials", 2, "independent trials per cell")
 	horizon := fs.Int64("horizon", 20000, "arrival horizon in slots")

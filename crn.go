@@ -12,7 +12,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/nocd"
 	"repro/internal/potential"
@@ -235,10 +234,11 @@ func NewDisruptor(burstSize int) Arrivals {
 	return &arrival.Disruptor{BurstSize: burstSize}
 }
 
-// Jammer spoils slots with noise energy (failure injection beyond the
-// paper's model); see NewRandomJammer and NewPeriodicJammer.  For
-// adaptive jammers and arrival adversaries, use Config.Adversary.
-type Jammer = jam.Jammer
+// Jammer is an adversary that spoils slots with noise energy (failure
+// injection beyond the paper's model); see NewRandomJammer,
+// NewBurstJammer, and NewReactiveJammer.  Either Config.Jammer or
+// Config.Adversary accepts one; both set, they stack (Jammer below).
+type Jammer = adversary.Jammer
 
 // Adversary is a first-class adversary: a process that hears per-slot
 // channel feedback and disrupts the run by jamming slots or injecting
@@ -272,13 +272,14 @@ func MediumMasksSilence(m Medium) bool { return medium.MasksSilence(m) }
 // trigger consecutive audibly-busy, event-free slots (a decoding window
 // filling toward a decode) and then jams the next burst slots, stretching
 // the window toward the protocol's timeout.
-func NewReactiveJammer(trigger, burst int64) Adversary {
+func NewReactiveJammer(trigger, burst int64) Jammer {
 	return adversary.NewReactive(trigger, burst)
 }
 
 // NewBurstJammer returns a duty-cycled jammer: burst jammed slots (≥ 1),
-// gap clean slots (≥ 0), repeating.
-func NewBurstJammer(burst, gap int64) Adversary {
+// gap clean slots (≥ 0), repeating.  A jammer hitting burst slots at
+// the start of every period is NewBurstJammer(burst, period−burst).
+func NewBurstJammer(burst, gap int64) Jammer {
 	return adversary.NewBurstGap(burst, gap)
 }
 
@@ -309,14 +310,9 @@ func NewAdversaryArrivals(adv Adversary) (Arrivals, bool) {
 // processes stay adaptive under composition).
 func NewMergedArrivals(a, b Arrivals) Arrivals { return &arrival.Merge{A: a, B: b} }
 
-// NewRandomJammer jams each slot independently with the given rate.
-func NewRandomJammer(rate float64) Jammer { return &jam.Random{Rate: rate} }
-
-// NewPeriodicJammer jams burst consecutive slots at the start of every
-// period slots.
-func NewPeriodicJammer(period, burst int64) Jammer {
-	return &jam.Periodic{Period: period, Burst: burst}
-}
+// NewRandomJammer jams each slot independently with the given rate in
+// [0, 1].
+func NewRandomJammer(rate float64) Jammer { return adversary.NewRandom(rate) }
 
 // NewPolynomialBackoff returns polynomial backoff with window (k+1)^exp
 // after k failures.

@@ -150,13 +150,13 @@ func TestMediumFacade(t *testing.T) {
 	}
 	// The coded medium can be passed explicitly, and jammers compose.
 	res := Run(Config{Horizon: 1, Drain: true, Seed: 9,
-		Medium: buildMedium(t, "coded:16/64", 0, 0), Jammer: NewPeriodicJammer(10, 2)},
+		Medium: buildMedium(t, "coded:16/64", 0, 0), Jammer: NewBurstJammer(2, 8)},
 		NewDecodableBackoff(16, 10), NewBatch(n))
 	if res.Delivered != n {
 		t.Fatalf("jammed coded medium delivered %d of %d", res.Delivered, n)
 	}
 	if res.Channel.JammedSlots == 0 {
-		t.Fatal("periodic jammer never fired")
+		t.Fatal("burst jammer never fired")
 	}
 }
 

@@ -22,7 +22,8 @@
 //   - a first-class adversary layer (internal/adversary): oblivious,
 //     duty-cycled, and adaptive feedback-reactive jammers plus a
 //     (σ,ρ)-bounded front-loading arrival adversary, composable into any
-//     run via Config.Adversary and swept as a grid axis;
+//     run via Config.Adversary (jammers also via Config.Jammer) and swept
+//     as a grid axis;
 //   - a deterministic discrete-round simulation engine with a parallel
 //     multi-trial runner;
 //   - a slot-synchronized real-network emulation engine (internal/emu,
@@ -63,7 +64,9 @@
 // ParseMedium parses a descriptor into a MediumSpec; MediumSpec.String
 // round-trips the canonical form and MediumSpec.Build constructs the
 // medium.  Jamming is a run property, not a channel model: set
-// Config.Jammer and the engine composes it over Config.Medium.
+// Config.Jammer (or Config.Adversary) to a Jammer — NewRandomJammer,
+// NewBurstJammer, NewReactiveJammer — and the engine composes it over
+// Config.Medium.
 //
 // # Real-network emulation
 //

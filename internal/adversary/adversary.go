@@ -13,8 +13,10 @@
 // re-exports as medium.Feedback) and carries whatever state its
 // strategy needs.  The two capability interfaces say what it does with
 // that state: a Jammer spoils slots (composed over any channel model by
-// medium.JamAdversary), an Injector produces packet arrivals (composed
-// with any arrival process via Arrivals and arrival.Merge).
+// medium.Jam), an Injector produces packet arrivals (composed with any
+// arrival process via Arrivals and arrival.Merge).  Jammer is the
+// simulator's only jammer interface: sim.Config.Jammer, the sweep
+// "jammers" axis, and Config.Adversary all take adversary jammers.
 //
 // # Determinism contract
 //
@@ -41,7 +43,6 @@ import (
 	"math"
 
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -60,7 +61,7 @@ type Adversary interface {
 }
 
 // Jammer is an adversary that spoils slots with noise energy.  Compose
-// one over any channel model with medium.JamAdversary.
+// one over any channel model with medium.Jam.
 type Jammer interface {
 	Adversary
 	// Jams reports whether slot now is jammed.  Slots are asked about in
@@ -103,11 +104,10 @@ type Injector interface {
 }
 
 // Random jams each slot independently with probability Rate — the
-// oblivious baseline jammer.  It is jam.Random itself, carried onto
-// the adversary interface by embedding, so the "jammers" and
-// "adversaries" axes share one implementation and can never drift.
+// oblivious baseline jammer, behind both the sweep's "random:RATE"
+// jammer and its "random:RATE" adversary.
 type Random struct {
-	jam.Random
+	Rate float64
 }
 
 // validRandomRate is the single source of the random jammer's rate
@@ -122,8 +122,11 @@ func NewRandom(rate float64) *Random {
 	if !validRandomRate(rate) {
 		panic("adversary: Random needs a rate in [0, 1]")
 	}
-	return &Random{jam.Random{Rate: rate}}
+	return &Random{Rate: rate}
 }
+
+// Name implements Adversary.
+func (j *Random) Name() string { return fmt.Sprintf("random(%.3f)", j.Rate) }
 
 // Observe implements Adversary: the random jammer is oblivious.
 func (j *Random) Observe(channel.Feedback) {}
@@ -131,17 +134,18 @@ func (j *Random) Observe(channel.Feedback) {}
 // Reset implements Adversary.
 func (j *Random) Reset() {}
 
-// Jams implements Jammer, delegating to jam.Random's decision.  It
-// consumes only slot-keyed randomness, so it is invariant under
-// fast-forwarding.
-func (j *Random) Jams(now int64, r *rng.Rand) bool { return j.Jammed(now, r) }
+// Jams implements Jammer with one Bernoulli draw.  It consumes only
+// slot-keyed randomness, so it is invariant under fast-forwarding.
+func (j *Random) Jams(_ int64, r *rng.Rand) bool { return r.Bernoulli(j.Rate) }
 
 // BurstGap is a duty-cycled jammer: it jams Burst consecutive slots,
-// stays quiet for Gap slots, and repeats.  It is jam.Periodic in the
-// (B, gap) parametrization the jamming literature uses: average rate
-// B/(B+gap), with all the energy concentrated in bursts — bursts longer
-// than a decoding epoch reliably forge overfull epochs, which the same
-// average rate spread randomly almost never does.
+// stays quiet for Gap slots, and repeats — slot now is jammed iff
+// now mod (Burst+Gap) < Burst.  This (B, gap) parametrization is the
+// one the jamming literature uses; the sweep's "periodic:PERIOD/BURST"
+// jammer is BurstGap{BURST, PERIOD−BURST}.  Average rate B/(B+gap), with
+// all the energy concentrated in bursts — bursts longer than a decoding
+// epoch reliably forge overfull epochs, which the same average rate
+// spread randomly almost never does.
 type BurstGap struct {
 	Burst int64
 	Gap   int64
@@ -384,29 +388,3 @@ func (s *SigmaRho) NextAfter(now int64) int64 {
 	}
 	return t + 1
 }
-
-// legacy adapts a jam.Jammer onto the adversary interface, so the
-// pre-existing jammers (and sim.Config.Jammer) ride through the same
-// composition path as first-class adversaries.
-type legacy struct{ j jam.Jammer }
-
-// FromJam wraps a package-jam jammer as an (oblivious) adversary Jammer.
-// A nil jammer yields a nil Jammer.
-func FromJam(j jam.Jammer) Jammer {
-	if j == nil {
-		return nil
-	}
-	return legacy{j}
-}
-
-// Name implements Adversary.
-func (l legacy) Name() string { return l.j.Name() }
-
-// Observe implements Adversary: package-jam jammers are oblivious.
-func (l legacy) Observe(channel.Feedback) {}
-
-// Reset implements Adversary: package-jam jammers are stateless.
-func (l legacy) Reset() {}
-
-// Jams implements Jammer.
-func (l legacy) Jams(now int64, r *rng.Rand) bool { return l.j.Jammed(now, r) }

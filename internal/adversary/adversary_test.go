@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -108,21 +107,45 @@ func TestBurstGapDutyCycle(t *testing.T) {
 	}
 }
 
-func TestRandomMatchesLegacyJammer(t *testing.T) {
-	// The ported random jammer must consume randomness exactly like
-	// jam.Random, so legacy seeds reproduce identical jam patterns.
-	ported, legacyJ := NewRandom(0.3), FromJam(&jam.Random{Rate: 0.3})
-	for now := int64(0); now < 200; now++ {
-		a, b := rng.New(uint64(now)), rng.New(uint64(now))
-		if ported.Jams(now, a) != legacyJ.Jams(now, b) {
-			t.Fatalf("slot %d: ported and legacy random jammers disagree", now)
+func TestRandomRate(t *testing.T) {
+	j := NewRandom(0.25)
+	r := rng.New(2)
+	hits := 0
+	const n = 100000
+	for now := int64(0); now < n; now++ {
+		if j.Jams(now, r) {
+			hits++
 		}
 	}
-	if legacyJ.Name() != "random(0.300)" {
-		t.Fatalf("legacy adapter name %q", legacyJ.Name())
+	if got := float64(hits) / n; math.Abs(got-0.25) > 0.01 {
+		t.Fatalf("random jam rate %v", got)
 	}
-	if FromJam(nil) != nil {
-		t.Fatal("FromJam(nil) should be nil")
+}
+
+func TestRandomEdges(t *testing.T) {
+	r := rng.New(3)
+	for now := int64(0); now < 100; now++ {
+		if NewRandom(0).Jams(now, r) {
+			t.Fatalf("rate-0 jammed slot %d", now)
+		}
+		if !NewRandom(1).Jams(now, r) {
+			t.Fatalf("rate-1 spared slot %d", now)
+		}
+	}
+}
+
+func TestJammerNames(t *testing.T) {
+	for _, c := range []struct {
+		j    Jammer
+		name string
+	}{
+		{NewRandom(0.5), "random(0.500)"},
+		{NewBurstGap(100, 900), "burst(100/900)"},
+		{NewReactive(3, 64), "reactive(3/64)"},
+	} {
+		if c.j.Name() != c.name {
+			t.Errorf("name %q, want %q", c.j.Name(), c.name)
+		}
 	}
 }
 

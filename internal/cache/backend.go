@@ -20,10 +20,12 @@ import "time"
 //   - List returns the identities of the records currently present, in
 //     ascending order, so enumeration is deterministic.
 //   - Claim grants an advisory lease: it returns true when the caller
-//     now holds the identity (no completed record exists, and no other
-//     owner holds an unexpired lease), renewing the caller's own lease
-//     if it already holds one.  Expired or corrupt leases degrade to
-//     misses and are re-claimable.  Leases are cooperative, not mutual
+//     now holds the identity (no sound completed record exists, and no
+//     other owner holds an unexpired lease), renewing the caller's own
+//     lease if it already holds one.  Expired or corrupt leases, and
+//     corrupt or foreign records (undecodable, or naming another
+//     identity in a top-level "id" field), degrade to misses and are
+//     re-claimable, so a damaged record never blocks a worker.  Leases are cooperative, not mutual
 //     exclusion: two racing workers may both win, execute the cell
 //     twice, and Put identical bytes — wasted work, never a wrong
 //     record.

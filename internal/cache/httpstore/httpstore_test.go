@@ -136,6 +136,23 @@ func TestClaimSemanticsOverHTTP(t *testing.T) {
 	}
 }
 
+func TestClaimOverCorruptOrForeignRecordOverHTTP(t *testing.T) {
+	// The server's store decides: a damaged record on disk is claimable
+	// through the wire, so remote workers are never blocked by it.
+	store, client := newPair(t)
+	if err := os.WriteFile(store.Path(idA), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(idB), []byte(`{"id": "`+idA+`"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{idA, idB} {
+		if ok, err := client.Claim(id, "w1", time.Minute); err != nil || !ok {
+			t.Fatalf("claim over damaged record %s = (%v, %v), want granted", id, ok, err)
+		}
+	}
+}
+
 func TestClientAgainstDeadServerErrors(t *testing.T) {
 	store, err := cache.Open(t.TempDir())
 	if err != nil {

@@ -32,9 +32,11 @@ func validOwner(owner string) bool {
 }
 
 // Claim takes (or renews) an advisory lease on a record identity, per
-// the Backend contract: false when the record already exists or another
-// owner holds an unexpired lease; true when the caller now holds it.
-// A corrupt or expired lease file is treated as absent.
+// the Backend contract: false when a sound record already exists (see
+// sound) or another owner holds an unexpired lease; true when the
+// caller now holds it.  A corrupt or foreign record file, like a
+// corrupt or expired lease file, is treated as absent: no reader can
+// use it, and the claimant's Put replaces it.
 //
 // The read-check-write is serialized within one process (goroutine
 // workers sharing a Store get real mutual exclusion) but not across
@@ -56,8 +58,10 @@ func (s *Store) Claim(id, owner string, ttl time.Duration) (bool, error) {
 	if ttl <= 0 {
 		return false, fmt.Errorf("cache: non-positive lease ttl %v", ttl)
 	}
-	if _, err := os.Stat(s.Path(id)); err == nil {
-		return false, nil // already complete; nothing to claim
+	if data, err := os.ReadFile(s.Path(id)); err == nil {
+		if sound(id, data) {
+			return false, nil // already complete; nothing to claim
+		}
 	} else if !os.IsNotExist(err) {
 		return false, fmt.Errorf("cache: %w", err)
 	}
@@ -82,6 +86,24 @@ func (s *Store) Claim(id, owner string, ttl time.Duration) (bool, error) {
 		return false, fmt.Errorf("cache: %w", err)
 	}
 	return true, nil
+}
+
+// sound reports whether a record file's bytes can stand for identity
+// id: they decode as JSON, and a record that names an identity (a
+// top-level "id" string, as sweep cell records carry) names this one.
+// A record naming another identity is foreign — copied or renamed into
+// the wrong place — and no reader that checks identities will use it.
+func sound(id string, data []byte) bool {
+	var v interface{}
+	if json.Unmarshal(data, &v) != nil {
+		return false
+	}
+	obj, ok := v.(map[string]interface{})
+	if !ok {
+		return true
+	}
+	named, ok := obj["id"].(string)
+	return !ok || named == id
 }
 
 // List returns the identities of the records currently in the store,

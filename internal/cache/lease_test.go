@@ -74,6 +74,31 @@ func TestClaimRefusedOnceRecordExists(t *testing.T) {
 	}
 }
 
+func TestClaimGrantedOverCorruptOrForeignRecord(t *testing.T) {
+	// A record no reader can use must not block its identity: garbage
+	// bytes and a record naming another identity are both claimable,
+	// while a sound record naming its own identity is not.
+	s := openTestStore(t)
+	if err := os.WriteFile(s.Path(idA), []byte("{truncated"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Claim(idA, "w1", time.Minute); err != nil || !ok {
+		t.Fatalf("claim over corrupt record = (%v, %v), want granted", ok, err)
+	}
+	if err := s.Put(idB, map[string]string{"id": idA}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Claim(idB, "w1", time.Minute); err != nil || !ok {
+		t.Fatalf("claim over foreign record = (%v, %v), want granted", ok, err)
+	}
+	if err := s.Put(idA, map[string]string{"id": idA}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Claim(idA, "w2", time.Minute); err != nil || ok {
+		t.Fatalf("claim of sound record = (%v, %v), want refused", ok, err)
+	}
+}
+
 func TestPutReleasesLease(t *testing.T) {
 	s := openTestStore(t)
 	if ok, _ := s.Claim(idA, "w1", time.Hour); !ok {

@@ -407,7 +407,7 @@ func TestStragglersUnderJamming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := medium.JamAdversary(medium.NewCoded(kappa, 4*kappa), adv.(adversary.Jammer), 9)
+	m := medium.Jam(medium.NewCoded(kappa, 4*kappa), adv.(adversary.Jammer), 9)
 	d := New(kappa, rng.New(12))
 	ids := make([]channel.PacketID, 500)
 	for i := range ids {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -47,7 +46,7 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 			func(trial int, s uint64) *sim.Result {
 				d := core.New(kappa, rng.New(s^0xE13))
 				res := sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Drain: true,
-					Seed: s, Jammer: &jam.Random{Rate: rate}},
+					Seed: s, Jammer: adversary.NewRandom(rate)},
 					d, arrival.NewEvenPaced(load))
 				overfull[trial] = d.Stats().OverfullEpochs
 				return res
@@ -72,21 +71,19 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 	// reliably forges overfull epochs.
 	duty := report.NewTable("Periodic jammer at 10% duty cycle vs random 10%",
 		"jammer", "delivered frac", "final backlog")
-	for _, j := range []jam.Jammer{
-		&jam.Random{Rate: 0.10},
-		&jam.Periodic{Period: 1000, Burst: 100},
-	} {
-		j := j
+	for _, desc := range []string{"random:0.10", "burst:100/900"} {
+		desc := desc
 		results := sim.RunTrials(trials, seed^0x1357, 0, func(trial int, s uint64) *sim.Result {
+			// Jammers are stateful: each trial builds its own.
 			return sim.Run(sim.Config{Kappa: kappa, Horizon: horizon, Drain: true,
-				Seed: s, Jammer: j},
+				Seed: s, Jammer: mustParse(desc).(adversary.Jammer)},
 				core.New(kappa, rng.New(s^0x2468)), arrival.NewEvenPaced(load))
 		})
 		frac := sim.Aggregate(results, func(r *sim.Result) float64 {
 			return float64(r.Delivered) / float64(r.Arrivals)
 		})
 		backlog := sim.Aggregate(results, func(r *sim.Result) float64 { return float64(r.Pending) })
-		duty.AddRow(j.Name(), frac.Mean(), backlog.Mean())
+		duty.AddRow(mustParse(desc).Name(), frac.Mean(), backlog.Mean())
 	}
 	out.Tables = append(out.Tables, duty)
 
@@ -106,12 +103,8 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 		desc := desc
 		results := sim.RunTrials(trials, seed^0x5E13, 0, func(trial int, s uint64) *sim.Result {
 			// Adversaries are stateful: each trial parses its own.
-			adv, err := adversary.Parse(desc)
-			if err != nil {
-				panic(err)
-			}
 			return sim.Run(sim.Config{Kappa: kappa, Horizon: gridHorizon, Drain: true,
-				Seed: s, Adversary: adv},
+				Seed: s, Adversary: mustParse(desc)},
 				core.New(kappa, rng.New(s^0x6E13)), arrival.NewEvenPaced(gridLoad))
 		})
 		frac := sim.Aggregate(results, func(r *sim.Result) float64 {
@@ -137,4 +130,14 @@ func E13Jamming(scale Scale, seed uint64) *Output {
 		"safety is preserved at every rate tested: injected = delivered + pending",
 		"adversary grid: feedback turns jamming from a tax into a veto — the reactive jammer times its bursts to the slots that would have completed decoding windows, collapsing throughput far below oblivious jamming at far higher effective duty, while the (σ,ρ) front-loader attacks peak backlog rather than throughput; the whole family sweeps as a grid via crnsweep -adversaries")
 	return out
+}
+
+// mustParse builds a fresh adversary from one of this file's
+// descriptors.
+func mustParse(desc string) adversary.Adversary {
+	adv, err := adversary.Parse(desc)
+	if err != nil {
+		panic(err)
+	}
+	return adv
 }

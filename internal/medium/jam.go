@@ -3,7 +3,6 @@ package medium
 import (
 	"repro/internal/adversary"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/rng"
 )
 
@@ -32,7 +31,7 @@ import (
 // inner medium that itself spoils idle slots (another jam wrapper):
 // densely stepped, the inner noise occupies slots the fast path treats
 // as silence, and the adaptive state diverges.  sim.Run rejects that
-// stacking (adaptive Config.Adversary over Config.Jammer).
+// stacking (an adaptive jammer over a medium that masks silence).
 type Jammed struct {
 	inner  Medium
 	jammer adversary.Jammer
@@ -66,20 +65,12 @@ var (
 	_ Repeater = (*Jammed)(nil)
 )
 
-// Jam wraps inner with the given package-jam jammer, seeding the
-// jammer's slot-keyed randomness from seed.  A nil jammer returns inner
-// unchanged.  It is the legacy entry point; first-class adversaries use
-// JamAdversary.
-func Jam(inner Medium, j jam.Jammer, seed uint64) Medium {
-	return JamAdversary(inner, adversary.FromJam(j), seed)
-}
-
-// JamAdversary wraps inner with a jamming adversary, seeding its
-// slot-keyed randomness from seed.  The adversary hears every stepped
-// slot's feedback through Observe, so adaptive jammers (e.g.
+// Jam wraps inner with a jamming adversary, seeding its slot-keyed
+// randomness from seed.  The adversary hears every stepped slot's
+// feedback through Observe, so adaptive jammers (e.g.
 // adversary.Reactive) work unmodified.  A nil jammer returns inner
 // unchanged.
-func JamAdversary(inner Medium, j adversary.Jammer, seed uint64) Medium {
+func Jam(inner Medium, j adversary.Jammer, seed uint64) Medium {
 	if j == nil {
 		return inner
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/channel"
-	"repro/internal/jam"
 )
 
 func TestNewDescriptors(t *testing.T) {
@@ -170,7 +169,7 @@ func TestDuplicateTransmittersPanic(t *testing.T) {
 		NewClassical(CDTernary).Step(0, []channel.PacketID{5, 5})
 	})
 	mustPanic("jammed slot", func() {
-		m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1)
+		m := Jam(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1)
 		m.Step(0, []channel.PacketID{5, 5})
 	})
 	big := make([]channel.PacketID, 40)
@@ -195,8 +194,8 @@ func TestParseCD(t *testing.T) {
 }
 
 func TestJammedSlotsNeverGood(t *testing.T) {
-	// always-on jammer via Periodic with burst == period
-	m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	// always-on jammer: a burst with no gap
+	m := Jam(NewCoded(4, 0), adversary.NewBurstGap(1, 0), 1)
 	class, ev := m.Step(0, []channel.PacketID{1})
 	if class != channel.Bad || ev != nil {
 		t.Fatalf("jammed slot class %v ev %v", class, ev)
@@ -217,7 +216,7 @@ func TestJammedSlotsNeverGood(t *testing.T) {
 func TestJamComposesOverCleanSlots(t *testing.T) {
 	// Duty-cycled jammer: slots 0-1 of every 4 jammed.  Clean slots pass
 	// through to the inner detector, which still decodes.
-	m := Jam(NewCoded(4, 0), &jam.Periodic{Period: 4, Burst: 2}, 1)
+	m := Jam(NewCoded(4, 0), adversary.NewBurstGap(2, 2), 1)
 	if m.Kappa() != 4 {
 		t.Fatalf("kappa %d", m.Kappa())
 	}
@@ -249,7 +248,7 @@ func TestJamDecisionsAreSlotKeyed(t *testing.T) {
 	// which slots were stepped before it — the property that keeps
 	// jammer randomness aligned across engine fast-forwarding.
 	decide := func(slots []int64) map[int64]bool {
-		m := Jam(NewCoded(1, 0), &jam.Random{Rate: 0.5}, 7)
+		m := Jam(NewCoded(1, 0), adversary.NewRandom(0.5), 7)
 		out := make(map[int64]bool)
 		for _, s := range slots {
 			class, _ := m.Step(s, nil)
@@ -282,7 +281,7 @@ func TestJamNilJammerPassesThrough(t *testing.T) {
 
 func TestJamTernaryClassicalReportsCollision(t *testing.T) {
 	// To a ternary-CD device, jamming energy sounds like a collision.
-	m := Jam(NewClassical(CDTernary), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	m := Jam(NewClassical(CDTernary), adversary.NewBurstGap(1, 0), 1)
 	var fb channel.Feedback
 	m.Step(0, nil)
 	m.Feedback(&fb)
@@ -290,7 +289,7 @@ func TestJamTernaryClassicalReportsCollision(t *testing.T) {
 		t.Fatalf("jammed ternary slot feedback %+v, want collision", fb)
 	}
 	// A binary-CD device cannot tell: no collision flag.
-	m = Jam(NewClassical(CDBinary), &jam.Periodic{Period: 1, Burst: 1}, 1)
+	m = Jam(NewClassical(CDBinary), adversary.NewBurstGap(1, 0), 1)
 	m.Step(0, nil)
 	m.Feedback(&fb)
 	if fb.Collision {
@@ -302,7 +301,7 @@ func TestJamAdversaryForwardsFeedbackToObserve(t *testing.T) {
 	// The wrapper is the adaptive jammer's ear: after three busy
 	// event-free slots (κ=4 collisions pending a window), the reactive
 	// adversary must arm and spoil the following slots.
-	m := JamAdversary(NewCoded(4, 0), adversary.NewReactive(3, 2), 1)
+	m := Jam(NewCoded(4, 0), adversary.NewReactive(3, 2), 1)
 	var fb channel.Feedback
 	step := func(now int64, txs ...channel.PacketID) channel.SlotClass {
 		class, _ := m.Step(now, txs)
@@ -350,7 +349,7 @@ func TestAdaptiveJamDecisionsGapInvariant(t *testing.T) {
 	// must produce the same jam pattern — the property the engine's
 	// fast-forwarding relies on.
 	decide := func(slots []int64, txsAt map[int64][]channel.PacketID) map[int64]bool {
-		m := JamAdversary(NewCoded(4, 0), adversary.NewReactive(2, 3), 9)
+		m := Jam(NewCoded(4, 0), adversary.NewReactive(2, 3), 9)
 		var fb channel.Feedback
 		out := make(map[int64]bool)
 		for _, s := range slots {

@@ -53,6 +53,20 @@ type Loop struct {
 	now        int64
 }
 
+// requireTruthfulSilence panics when an adaptive adversary (in either
+// Config field) would sit over a medium that masks silence.  Its
+// gap-equals-silence rule needs the medium below it to report idle
+// slots truthfully, and neither classical:none nor a jam wrapper
+// (Config.Jammer, or one the caller baked into Config.Medium) does:
+// idle slots a fast-forwarded run skips as silent would, densely
+// stepped, be observed as busy, and the adaptive state would depend on
+// the stepping.
+func requireTruthfulSilence(adv adversary.Adversary, m medium.Medium) {
+	if _, adaptive := adv.(adversary.Adaptive); adaptive && medium.MasksSilence(m) {
+		panic("sim: an adaptive adversary needs a medium whose feedback exposes idle slots truthfully (classical:none masks silence; jam wrappers spoil idle slots) — the gap-equals-silence contract cannot hold")
+	}
+}
+
 // NewLoop validates cfg and assembles the adjudication state.  The
 // medium is composed exactly as Run composes it (jam wrapper, adversary
 // jam wrapper, adversary arrival merge); protoName labels the Result.
@@ -68,24 +82,15 @@ func NewLoop(cfg Config, protoName string, arr arrival.Process) *Loop {
 	if m == nil {
 		m = medium.NewCoded(cfg.Kappa, cfg.maxWindow())
 	}
+	requireTruthfulSilence(cfg.Jammer, m)
 	m = medium.Jam(m, cfg.Jammer, cfg.Seed^jamSeedSalt)
 	if cfg.Adversary != nil {
-		if _, adaptive := cfg.Adversary.(adversary.Adaptive); adaptive && medium.MasksSilence(m) {
-			// An adaptive adversary's gap-equals-silence rule needs the
-			// medium below it to report idle slots truthfully.  The
-			// composed m is checked, so this catches classical:none, a
-			// legacy Config.Jammer (just composed above), and media the
-			// caller pre-wrapped with a jammer: in each case idle slots
-			// a fast-forwarded run skips as silent would, densely
-			// stepped, be observed as busy, and the adaptive state would
-			// depend on the stepping.
-			panic("sim: an adaptive Adversary needs a medium whose feedback exposes idle slots truthfully (classical:none masks silence; jam wrappers spoil idle slots) — the gap-equals-silence contract cannot hold")
-		}
+		requireTruthfulSilence(cfg.Adversary, m)
 		// One adversary may disrupt on both channels: jam composition
 		// wraps the medium, arrival composition merges injections.
 		aj, jams := cfg.Adversary.(adversary.Jammer)
 		if jams {
-			m = medium.JamAdversary(m, aj, cfg.Seed^advSeedSalt)
+			m = medium.Jam(m, aj, cfg.Seed^advSeedSalt)
 		}
 		if inj, ok := cfg.Adversary.(adversary.Injector); ok {
 			advArr := adversary.Arrivals(inj)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -61,25 +60,29 @@ type Config struct {
 	// retain every latency, so their quantiles are exact.
 	LatencySamples int
 	// Jammer optionally spoils slots with noise (failure injection; see
-	// package jam).  The engine composes it over the medium via
-	// medium.Jam: jammed slots are audibly busy and decode-useless, and
-	// jam decisions are slot-keyed, so they are identical whether or not
+	// package adversary).  The engine composes it over the medium via
+	// medium.Jam, below Adversary and with its own seed salt, so a
+	// Jammer and a jamming Adversary stack with decorrelated randomness.
+	// Jammed slots are audibly busy and decode-useless, and jam
+	// decisions are slot-keyed, so they are identical whether or not
 	// idle stretches in between were fast-forwarded.  (Fast-forwarded
 	// stretches themselves are not consulted for jamming: an empty
-	// system ignores noise.)
-	Jammer jam.Jammer
+	// system ignores noise.)  An adaptive Jammer, like an adaptive
+	// Adversary, needs a medium that exposes idle slots truthfully.
+	// Jammers are stateful: construct one per run.
+	Jammer adversary.Jammer
 	// Medium selects the channel model the run uses; nil selects the
 	// coded κ-threshold channel built from Kappa and MaxWindow.  Media
 	// are stateful: construct one per run, never share across
 	// concurrent runs.  See internal/medium for the implementations.
 	Medium medium.Medium
 	// Adversary optionally disrupts the run (see internal/adversary).  A
-	// jamming adversary is composed over the medium exactly like Jammer
-	// (slot-keyed randomness, adaptive state fed by per-slot feedback);
-	// an arrival adversary's injections are merged with the configured
-	// arrival process, subject to the same Horizon.  Adversaries are
-	// stateful: construct one per run, never share across concurrent
-	// runs.
+	// jamming adversary is composed over the medium exactly like Jammer,
+	// on top of it (slot-keyed randomness, adaptive state fed by
+	// per-slot feedback); an arrival adversary's injections are merged
+	// with the configured arrival process, subject to the same Horizon.
+	// Adversaries are stateful: construct one per run, never share
+	// across concurrent runs.
 	Adversary adversary.Adversary
 	// Workers selects the execution path for the per-slot station work.
 	// 0 runs the serial legacy slot loop, which stays the reference.
@@ -203,8 +206,7 @@ func (r *Result) SegmentMeanBacklog(from, to float64) float64 {
 const jamSeedSalt = 0x4a4d // "JM"
 
 // advSeedSalt decorrelates an adversary's slot-keyed randomness from
-// both the arrival stream and a legacy Config.Jammer composed in the
-// same run.
+// both the arrival stream and a Config.Jammer composed in the same run.
 const advSeedSalt = 0x414456 // "ADV"
 
 // latSeedSalt decorrelates the latency reservoir's replacement stream

@@ -10,7 +10,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -470,7 +469,7 @@ func TestChannelDetectorEquivalenceEndToEnd(t *testing.T) {
 
 func TestJammedRunConservation(t *testing.T) {
 	res := Run(Config{Kappa: 16, Horizon: 5000, Drain: true, Seed: 31,
-		Jammer: &jam.Random{Rate: 0.3}},
+		Jammer: adversary.NewRandom(0.3)},
 		core.New(16, rng.New(32)), &arrival.Bernoulli{Rate: 0.3})
 	if res.Arrivals != res.Delivered+int64(res.Pending) {
 		t.Fatalf("conservation violated under jamming: %d != %d + %d",
@@ -504,7 +503,7 @@ func TestJammerAlignedAcrossFastForward(t *testing.T) {
 		// between retries, so the fast run skips long stretches the slow
 		// run steps one by one.
 		return Run(Config{Kappa: 1, Horizon: 1, Drain: true, Seed: 92,
-			Jammer: &jam.Random{Rate: 0.25}},
+			Jammer: adversary.NewRandom(0.25)},
 			proto, &arrival.Batch{At: 0, N: 8})
 	}
 	fast, slow := run(true), run(false)
@@ -577,11 +576,11 @@ func TestSigmaRhoAdversaryMergesWithArrivals(t *testing.T) {
 }
 
 func TestLegacyJammerAndAdversaryCompose(t *testing.T) {
-	// Config.Jammer (legacy) and Config.Adversary stack: both spoil
-	// slots, their randomness decorrelated by distinct salts, and the
-	// medium name records the composition order.
+	// Config.Jammer and Config.Adversary stack: both spoil slots, their
+	// randomness decorrelated by distinct salts, and the medium name
+	// records the composition order (Jammer below Adversary).
 	res := Run(Config{Kappa: 8, Horizon: 3000, Drain: true, Seed: 51,
-		Jammer:    &jam.Random{Rate: 0.05},
+		Jammer:    adversary.NewRandom(0.05),
 		Adversary: &adversary.BurstGap{Burst: 20, Gap: 180}},
 		core.New(8, rng.New(52)), &arrival.Bernoulli{Rate: 0.2})
 	if res.Medium != "coded+jam:random(0.050)+jam:burst(20/180)" {
@@ -596,8 +595,7 @@ func TestLegacyJammerAndAdversaryCompose(t *testing.T) {
 }
 
 func TestAdaptiveAdversaryRejectsLegacyJammerStack(t *testing.T) {
-	// The legacy jammer spoils slots the engine skips as provably
-	// silent, so an adaptive adversary over it cannot keep its
+	// Config.Jammer spoils slots the engine skips as provably silent, so an adaptive adversary over it cannot keep its
 	// gap-equals-silence contract; Run must reject the combination
 	// rather than silently produce fast-forward-dependent results.
 	defer func() {
@@ -606,7 +604,7 @@ func TestAdaptiveAdversaryRejectsLegacyJammerStack(t *testing.T) {
 		}
 	}()
 	Run(Config{Kappa: 8, Horizon: 100, Seed: 1,
-		Jammer:    &jam.Random{Rate: 0.3},
+		Jammer:    adversary.NewRandom(0.3),
 		Adversary: adversary.NewReactive(2, 16)},
 		core.New(8, rng.New(2)), &arrival.Batch{At: 0, N: 4})
 }
@@ -636,7 +634,40 @@ func TestAdaptiveAdversaryRejectsPreJammedMedium(t *testing.T) {
 	}()
 	inner := medium.NewCoded(8, 0)
 	Run(Config{Horizon: 100, Seed: 1,
-		Medium:    medium.Jam(inner, &jam.Random{Rate: 0.3}, 5),
+		Medium:    medium.Jam(inner, adversary.NewRandom(0.3), 5),
 		Adversary: adversary.NewReactive(2, 16)},
 		baseline.NewExponentialBackoff(rng.New(2)), &arrival.Batch{At: 0, N: 4})
+}
+
+func TestAdaptiveJammerRejectsSilenceMaskingMedium(t *testing.T) {
+	// Config.Jammer takes any adversary.Jammer, adaptive ones included,
+	// so NewLoop holds it to the same guard as Config.Adversary: over
+	// classical:none its gap-equals-silence contract cannot hold.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adaptive Config.Jammer over classical:none was accepted")
+		}
+	}()
+	NewLoop(Config{Horizon: 100, Seed: 1,
+		Medium: medium.NewClassical(medium.CDNone),
+		Jammer: adversary.NewReactive(2, 16)},
+		"beb", &arrival.Batch{At: 0, N: 4})
+}
+
+func TestAdaptiveJammerOverTruthfulMedium(t *testing.T) {
+	// Over a medium that exposes silence, an adaptive Config.Jammer runs
+	// exactly as the same jammer in Config.Adversary does, apart from
+	// its seed salt (which only randomized jammers consume).
+	run := func(cfg Config) *Result {
+		cfg.Kappa, cfg.Horizon, cfg.Drain, cfg.Seed = 1, 1, true, 72
+		return Run(cfg, baseline.NewExponentialBackoff(rng.New(71)), &arrival.Batch{At: 0, N: 8})
+	}
+	asJammer := run(Config{Jammer: adversary.NewReactive(1, 16)})
+	asAdversary := run(Config{Adversary: adversary.NewReactive(1, 16)})
+	if asJammer.String() != asAdversary.String() || asJammer.Channel != asAdversary.Channel {
+		t.Fatalf("adaptive jammer differs by Config field:\n  Jammer:    %v\n  Adversary: %v", asJammer, asAdversary)
+	}
+	if asJammer.Channel.JammedSlots == 0 {
+		t.Fatal("reactive Config.Jammer never fired")
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/nocd"
 	"repro/internal/protocol"
@@ -79,7 +78,7 @@ var workerGrid = []struct {
 	}},
 	{"dba/coded/bernoulli+random-jam", func(w int) *Result {
 		return Run(Config{Kappa: 16, Horizon: 20000, Drain: true, Seed: 12, Workers: w,
-			Jammer: &jam.Random{Rate: 0.2}},
+			Jammer: adversary.NewRandom(0.2)},
 			core.New(16, rng.New(102)), &arrival.Bernoulli{Rate: 0.3})
 	}},
 	{"dba/coded/reactive-adaptive", func(w int) *Result {
@@ -98,7 +97,7 @@ var workerGrid = []struct {
 	}},
 	{"beb/coded/periodic-jam-waker", func(w int) *Result {
 		return Run(Config{Kappa: 8, Horizon: 4096, Drain: true, Seed: 16, Workers: w,
-			Jammer: &jam.Periodic{Period: 64, Burst: 8}},
+			Jammer: adversary.NewBurstGap(8, 56)},
 			baseline.NewExponentialBackoff(rng.New(106)), &arrival.Batch{At: 0, N: 48})
 	}},
 	{"poly/coded/batch-waker", func(w int) *Result {
@@ -131,7 +130,7 @@ var workerGrid = []struct {
 	}},
 	{"beb/capture/bernoulli+random-jam", func(w int) *Result {
 		return Run(Config{Kappa: 4, Horizon: 8000, Drain: true, Seed: 23, Workers: w,
-			Medium: medium.NewCapture(4), Jammer: &jam.Random{Rate: 0.1}},
+			Medium: medium.NewCapture(4), Jammer: adversary.NewRandom(0.1)},
 			baseline.NewExponentialBackoff(rng.New(113)), &arrival.Bernoulli{Rate: 0.2})
 	}},
 	{"mw/capture/reactive-adaptive", func(w int) *Result {

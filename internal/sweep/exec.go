@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/arrival"
-	"repro/internal/jam"
 	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -81,20 +80,23 @@ func (s *Spec) buildArrival(sc Scenario) arrival.Process {
 	panic(fmt.Sprintf("sweep: unknown arrival %q", sc.Arrival))
 }
 
-// parseJammer decodes a jammer descriptor: "none" (or ""),
-// "random:RATE", or "periodic:PERIOD/BURST".
-func parseJammer(desc string) (jam.Jammer, error) {
+// parseJammer decodes a jammer descriptor into a fresh jammer, or nil
+// for none: "none" (or ""), "random:RATE", or "periodic:PERIOD/BURST" —
+// BURST jammed slots at the start of every PERIOD, which is
+// adversary.BurstGap{BURST, PERIOD−BURST}.  A zero BURST never jams,
+// so it too yields nil and the run composes no jam wrapper.
+func parseJammer(desc string) (adversary.Jammer, error) {
 	switch {
 	case desc == "" || desc == "none":
 		return nil, nil
 	case strings.HasPrefix(desc, "random:"):
-		// adversary.Random embeds jam.Random, so the adversary parser is
-		// the single source of the rate validation for both axes.
+		// The adversary parser is the single source of the rate
+		// validation for both axes.
 		adv, err := adversary.Parse(desc)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: bad jammer %q (want random:RATE with RATE in [0,1])", desc)
 		}
-		return &adv.(*adversary.Random).Random, nil
+		return adv.(adversary.Jammer), nil
 	case strings.HasPrefix(desc, "periodic:"):
 		spec := desc[len("periodic:"):]
 		slash := strings.IndexByte(spec, '/')
@@ -103,10 +105,13 @@ func parseJammer(desc string) (jam.Jammer, error) {
 		}
 		period, err1 := strconv.ParseInt(spec[:slash], 10, 64)
 		burst, err2 := strconv.ParseInt(spec[slash+1:], 10, 64)
-		if err1 != nil || err2 != nil || period < 1 || burst < 0 || burst > period {
-			return nil, fmt.Errorf("sweep: bad jammer %q (want periodic:PERIOD/BURST with 0 ≤ BURST ≤ PERIOD)", desc)
+		if err1 != nil || err2 != nil || period < 1 || period > adversary.MaxSlotParam || burst < 0 || burst > period {
+			return nil, fmt.Errorf("sweep: bad jammer %q (want periodic:PERIOD/BURST with 1 ≤ PERIOD ≤ 2^40, 0 ≤ BURST ≤ PERIOD)", desc)
 		}
-		return &jam.Periodic{Period: period, Burst: burst}, nil
+		if burst == 0 {
+			return nil, nil
+		}
+		return adversary.NewBurstGap(burst, period-burst), nil
 	}
 	return nil, fmt.Errorf("sweep: unknown jammer %q (want none, random:RATE, or periodic:PERIOD/BURST)", desc)
 }

@@ -117,9 +117,8 @@ func putCell(b cache.Backend, id string, index int, key string, cell CellSummary
 // record already in the store, so a run interrupted at any point and
 // started again is byte-identical to an uninterrupted one.  Run takes
 // no leases: it owns the whole grid, so it executes every cell it
-// cannot load rather than wait on another worker.  That also repairs a
-// store: a corrupt or foreign record file blocks a worker's claim, and
-// Run overwrites it.
+// cannot load rather than wait on another worker.  Like a worker, it
+// overwrites any corrupt or foreign record it finds.
 // Cancellation follows RunWorker's contract; Run then returns the
 // context's error and no Grid.
 func Run(ctx context.Context, spec Spec, opts Options) (*Grid, error) {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -124,6 +125,49 @@ func TestWorkerPreemption(t *testing.T) {
 	}
 	if got := assembledJSON(t, spec, store); !bytes.Equal(want, got) {
 		t.Fatal("grid after preemption differs from the unsharded run")
+	}
+}
+
+// TestRunWorkerRewritesDamagedRecords plants a garbage record and a
+// record of another cell under two cells' identities.  Both read as
+// misses, so the worker must claim, execute and rewrite them instead of
+// waiting forever for a lease it can never get.
+func TestRunWorkerRewritesDamagedRecords(t *testing.T) {
+	spec := smallSpec()
+	want := unshardedJSON(t, spec)
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := spec.Expand()
+	seeds := spec.jobSeeds(len(cells))
+	id := func(i int) string { return cellID(cells[i], &spec, seeds[i*spec.Trials:(i+1)*spec.Trials]) }
+	if err := os.WriteFile(store.Path(id(0)), []byte("\x00garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := json.Marshal(&CellRecord{SchemaVersion: SchemaVersion, ID: id(2), Key: cells[2].Key(), Index: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(id(1)), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := RunWorker(ctx, spec, stealOptions("repairer", store))
+	if err != nil {
+		t.Fatalf("worker over damaged records: %v", err)
+	}
+	if res.Executed != spec.Cells() {
+		t.Fatalf("worker executed %d cells, want %d", res.Executed, spec.Cells())
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := loadCell(store, id(i), cells[i].Key()); err != nil || !ok {
+			t.Fatalf("damaged record %d not rewritten (ok=%v, err=%v)", i, ok, err)
+		}
+	}
+	if got := assembledJSON(t, spec, store); !bytes.Equal(want, got) {
+		t.Fatal("grid after repairing damaged records differs from the unsharded run")
 	}
 }
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/rng"
 )
 
 func smallSpec() Spec {
@@ -99,6 +103,8 @@ func TestValidateRejects(t *testing.T) {
 		"bad jammer":      func(s *Spec) { s.Jammers = []string{"emp"} },
 		"bad random":      func(s *Spec) { s.Jammers = []string{"random:2"} },
 		"bad periodic":    func(s *Spec) { s.Jammers = []string{"periodic:10"} },
+		"period > 2^40":   func(s *Spec) { s.Jammers = []string{"periodic:1099511627777/1"} },
+		"period overflow": func(s *Spec) { s.Jammers = []string{"periodic:9223372036854775807/9223372036854775807"} },
 		"no trials":       func(s *Spec) { s.Trials = 0 },
 		"no horizon":      func(s *Spec) { s.Horizon = 0 },
 		"neg drain limit": func(s *Spec) { s.DrainLimit = -1 },
@@ -573,6 +579,39 @@ func TestReservoirQuantilesDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		if !bytes.Equal(serial, render(par)) {
 			t.Fatalf("parallelism %d changed reservoir-sampled quantiles", par)
+		}
+	}
+}
+
+func TestParseJammerNoneYieldsNil(t *testing.T) {
+	// "none" and a zero-burst duty cycle never jam, so both yield an
+	// untyped nil and the run composes no jam wrapper at all.
+	for _, desc := range []string{"", "none", "periodic:50/0", "periodic:1/0"} {
+		j, err := parseJammer(desc)
+		if err != nil || j != nil {
+			t.Fatalf("parseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
+		}
+	}
+}
+
+func TestParseJammerPeriodicIsBurstGap(t *testing.T) {
+	// periodic:PERIOD/BURST keeps its now%PERIOD < BURST decision as
+	// adversary.BurstGap{BURST, PERIOD−BURST}.
+	r := rng.New(4)
+	for _, c := range []struct{ period, burst int64 }{{10, 3}, {50, 10}, {7, 7}, {1, 1}} {
+		desc := fmt.Sprintf("periodic:%d/%d", c.period, c.burst)
+		j, err := parseJammer(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg, ok := j.(*adversary.BurstGap)
+		if !ok || bg.Burst != c.burst || bg.Gap != c.period-c.burst {
+			t.Fatalf("parseJammer(%q) = %#v, want BurstGap{%d, %d}", desc, j, c.burst, c.period-c.burst)
+		}
+		for now := int64(0); now < 5*c.period; now++ {
+			if want := now%c.period < c.burst; j.Jams(now, r) != want {
+				t.Fatalf("%s slot %d: jammed=%v want %v", desc, now, !want, want)
+			}
 		}
 	}
 }
