@@ -584,12 +584,29 @@ func TestReservoirQuantilesDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestParseJammerNoneYieldsNil(t *testing.T) {
-	// "none" and a zero-burst duty cycle never jam, so both yield an
-	// untyped nil and the run composes no jam wrapper at all.
-	for _, desc := range []string{"", "none", "periodic:50/0", "periodic:1/0"} {
+	// "none" never jams, so it yields an untyped nil and the run
+	// composes no jam wrapper at all.
+	for _, desc := range []string{"", "none"} {
 		j, err := parseJammer(desc)
 		if err != nil || j != nil {
 			t.Fatalf("parseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
+		}
+	}
+}
+
+func TestParseJammerPeriodicNeverJams(t *testing.T) {
+	// A zero-burst duty cycle never jams and yields no jammer, like
+	// "none"; a zero (or negative) period describes no duty cycle and is
+	// rejected rather than silently jamming nothing.
+	for _, desc := range []string{"periodic:50/0", "periodic:1/0"} {
+		j, err := parseJammer(desc)
+		if err != nil || j != nil {
+			t.Fatalf("parseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
+		}
+	}
+	for _, desc := range []string{"periodic:0/0", "periodic:0/1", "periodic:-5/1"} {
+		if j, err := parseJammer(desc); err == nil {
+			t.Fatalf("parseJammer(%q) = %v, nil, want an error", desc, j)
 		}
 	}
 }
