@@ -19,6 +19,9 @@
 //	crnemu -transport udp -protocol beb -model classical:ternary -arrival bernoulli -rate 0.02 -horizon 20000
 //	crnemu -transport udp -drop 0.01 -dup 0.01 -stats-interval 1s -protocol dba -kappa 8 -n 2000
 //	crnemu -transport sim -protocol dba -kappa 8 -n 500 -json
+//
+// The scenario flags form one scenario (internal/scenario, DESIGN.md
+// §12); a scenario that breaks a validity rule exits 2 with the reason.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/emu"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -136,11 +140,11 @@ func main() {
 	arrivalName := flag.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
 	n := flag.Int("n", 10000, "batch size (arrival=batch)")
 	rate := flag.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
-	window := flag.Int("window", 16384, "burst window length (arrival=burst)")
+	window := flag.Int("window", scenario.DefaultBurstWindow, "burst window length (arrival=burst)")
 	horizon := flag.Int64("horizon", 100000, "slots during which arrivals occur")
 	drain := flag.Bool("drain", true, "keep running after the horizon until the system empties")
 	seed := flag.Uint64("seed", 1, "random seed")
-	alohaP := flag.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
+	alohaP := flag.Float64("aloha-p", scenario.DefaultAlohaP, "static ALOHA transmission probability (protocol=aloha)")
 	adversaryDesc := flag.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
 	latencySamples := flag.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
 
@@ -196,6 +200,10 @@ func main() {
 		Transport:      *transport,
 		Fault:          fault,
 		SlotTimeout:    *slotTimeout,
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "crnemu: %v\n", err)
+		os.Exit(2)
 	}
 	// Reference mode: the simulator on the identical configuration,
 	// emitting the identical artifact — the cmp target for the

@@ -18,6 +18,9 @@
 //	crnsim -model classical:none -protocol robust -arrival batch -n 2000
 //	crnsim -model capture -kappa 8 -protocol unbounded -arrival batch -n 2000
 //
+// The flags form one scenario (internal/scenario, DESIGN.md §12); a
+// scenario that breaks a validity rule exits 2 with the reason.
+//
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
 // (read them with go tool pprof), and -exectrace a runtime/trace
 // execution trace (read it with go tool trace); they never change stdout:
@@ -36,16 +39,17 @@ import (
 	"runtime/pprof"
 	"runtime/trace"
 
-	crn "repro"
 	"repro/internal/asciiplot"
 	"repro/internal/report"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: it parses argv, writes the report to stdout and
-// diagnostics to stderr, and returns the exit status (2 for bad usage,
-// 1 for a failed run or output file).
+// diagnostics to stderr, and returns the exit status (2 for bad usage
+// or an invalid scenario, 1 for a failed run or output file).
 func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("crnsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -55,11 +59,11 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	arrivalName := fs.String("arrival", "batch", "arrival process: batch, bernoulli, poisson, even, burst")
 	n := fs.Int("n", 10000, "batch size (arrival=batch)")
 	rate := fs.Float64("rate", 0.5, "arrival rate (bernoulli/poisson/even) or window fill fraction (burst)")
-	window := fs.Int64("window", 16384, "burst window length (arrival=burst)")
+	window := fs.Int64("window", scenario.DefaultBurstWindow, "burst window length (arrival=burst)")
 	horizon := fs.Int64("horizon", 100000, "slots during which arrivals occur")
 	drain := fs.Bool("drain", true, "keep running after the horizon until the system empties")
 	seed := fs.Uint64("seed", 1, "random seed")
-	alohaP := fs.Float64("aloha-p", 0.001, "static ALOHA transmission probability (protocol=aloha)")
+	alohaP := fs.Float64("aloha-p", scenario.DefaultAlohaP, "static ALOHA transmission probability (protocol=aloha)")
 	adversaryDesc := fs.String("adversary", "none", "adversary: none, random:RATE, burst:B/GAP, reactive:TRIGGER/BURST, sigmarho:SIGMA/RHO")
 	latencySamples := fs.Int("latency-samples", 0, "latency reservoir capacity for quantiles (0 = default, -1 = off)")
 	workers := fs.Int("workers", 0, "staged-engine goroutines per run (0 = serial engine; results identical)")
@@ -75,78 +79,29 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	mspec, err := crn.ParseMedium(*model)
+	if *n < 1 || *window < 1 { // the builder would read 0 as its default
+		fmt.Fprintf(stderr, "crnsim: -n and -window must be at least 1\n")
+		return 2
+	}
+	cfg, proto, arr, err := scenario.Scenario{
+		Model:          *model,
+		Protocol:       *protoName,
+		Arrival:        *arrivalName,
+		Kappa:          *kappa,
+		Rate:           *rate,
+		Adversary:      *adversaryDesc,
+		Horizon:        *horizon,
+		Drain:          *drain,
+		LatencySamples: *latencySamples,
+		BatchN:         *n,
+		BurstWindow:    *window,
+		AlohaP:         *alohaP,
+	}.Build(*seed+1, *seed, nil)
 	if err != nil {
 		fmt.Fprintf(stderr, "crnsim: %v\n", err)
 		return 2
 	}
-	if *protoName == "dba" && mspec.Model != "coded" {
-		fmt.Fprintf(stderr, "crnsim: dba is defined for the coded model (κ ≥ 6); pick -model coded or another protocol\n")
-		return 2
-	}
-	// A bare "coded" leaves Medium nil so the engine's defaults (window
-	// cap 4κ) apply; anything else — another model, or a coded descriptor
-	// with embedded parameters — builds the medium explicitly.
-	var med crn.Medium
-	if mspec != (crn.MediumSpec{Model: "coded"}) {
-		med, err = mspec.Build(*kappa, 0)
-		if err != nil {
-			fmt.Fprintf(stderr, "crnsim: %v\n", err)
-			return 2
-		}
-		*kappa = med.Kappa()
-	}
-
-	var proto crn.Protocol
-	switch *protoName {
-	case "dba":
-		proto = crn.NewDecodableBackoff(*kappa, *seed)
-	case "beb":
-		proto = crn.NewExponentialBackoff(*seed)
-	case "aloha":
-		proto = crn.NewSlottedAloha(*seed, *alohaP)
-	case "genie":
-		proto = crn.NewGenieAloha(*seed, 1)
-	case "mw":
-		proto = crn.NewMultiplicativeWeights(*seed)
-	case "robust":
-		proto = crn.NewRobustNoCD(*seed)
-	case "unbounded":
-		proto = crn.NewUnboundedNoCD(*seed)
-	default:
-		fmt.Fprintf(stderr, "crnsim: unknown protocol %q\n", *protoName)
-		return 2
-	}
-
-	var arr crn.Arrivals
-	switch *arrivalName {
-	case "batch":
-		arr = crn.NewBatch(*n)
-		if *horizon < 1 {
-			*horizon = 1
-		}
-	case "bernoulli":
-		arr = crn.NewBernoulli(*rate)
-	case "poisson":
-		arr = crn.NewPoisson(*rate)
-	case "even":
-		arr = crn.NewEvenPaced(*rate)
-	case "burst":
-		arr = crn.NewWindowBurst(*window, int(*rate*float64(*window)))
-	default:
-		fmt.Fprintf(stderr, "crnsim: unknown arrival %q\n", *arrivalName)
-		return 2
-	}
-
-	adv, err := crn.ParseAdversary(*adversaryDesc)
-	if err != nil {
-		fmt.Fprintf(stderr, "crnsim: %v\n", err)
-		return 2
-	}
-	if crn.IsAdaptiveAdversary(adv) && med != nil && crn.MediumMasksSilence(med) {
-		fmt.Fprintf(stderr, "crnsim: adversary %q reacts to channel feedback, but model %q masks silence; pick a model with channel sensing\n", *adversaryDesc, *model)
-		return 2
-	}
+	cfg.Workers = *workers
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -186,16 +141,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			}
 		}()
 	}
-	res := crn.Run(crn.Config{
-		Kappa:          *kappa,
-		Horizon:        *horizon,
-		Drain:          *drain,
-		Seed:           *seed + 1,
-		LatencySamples: *latencySamples,
-		Medium:         med,
-		Adversary:      adv,
-		Workers:        *workers,
-	}, proto, arr)
+	res := sim.Run(cfg, proto, arr)
 	if *memProfile != "" {
 		if err := writeMemProfile(*memProfile); err != nil {
 			fmt.Fprintf(stderr, "crnsim: %v\n", err)

@@ -66,3 +66,34 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("-h: exit %d, want 0", code)
 	}
 }
+
+// TestInvalidScenarios: each scenario below once panicked or divided by
+// zero inside the engine; now each exits 2 with a diagnostic and
+// prints no report.
+func TestInvalidScenarios(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "dba", "-kappa", "3"},
+		{"-horizon", "-5"},
+		{"-arrival", "burst", "-window", "0"},
+		{"-n", "0"},
+		{"-model", "classical:none", "-protocol", "beb", "-adversary", "reactive:2/3"},
+		{"-protocol", "aloha", "-aloha-p", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := func() (code int) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("crnsim %v panicked: %v", args, r)
+					code = -1
+				}
+			}()
+			return run(append(args, "-plot=false"), &stdout, &stderr)
+		}()
+		if code != 2 {
+			t.Errorf("crnsim %v: exit %d, want 2", args, code)
+		}
+		if stderr.Len() == 0 || stdout.Len() != 0 {
+			t.Errorf("crnsim %v: stderr %q, stdout %q; want a diagnostic and no report", args, stderr.String(), stdout.String())
+		}
+	}
+}

@@ -68,12 +68,18 @@ func TestKindClassification(t *testing.T) {
 		"random:0.1": true, "burst:10/90": true, "reactive:4/8": true,
 		"sigmarho:10/0.1": false, "none": false, "bogus": false,
 	} {
-		if IsJammer(desc) != wantJam {
-			t.Errorf("IsJammer(%q) = %v, want %v", desc, !wantJam, wantJam)
+		adv, _ := Parse(desc)
+		if _, jams := adv.(Jammer); jams != wantJam {
+			t.Errorf("Parse(%q) is a Jammer: %v, want %v", desc, jams, wantJam)
 		}
 	}
-	if !IsAdaptive("reactive:4/8") || IsAdaptive("random:0.1") || IsAdaptive("sigmarho:1/0") {
-		t.Fatal("IsAdaptive misclassifies")
+	for desc, wantAdaptive := range map[string]bool{
+		"reactive:4/8": true, "random:0.1": false, "sigmarho:1/0": false,
+	} {
+		adv, _ := Parse(desc)
+		if _, adaptive := adv.(Adaptive); adaptive != wantAdaptive {
+			t.Errorf("Parse(%q) is Adaptive: %v, want %v", desc, adaptive, wantAdaptive)
+		}
 	}
 }
 

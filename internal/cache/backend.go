@@ -23,9 +23,11 @@ import "time"
 //     now holds the identity (no sound completed record exists, and no
 //     other owner holds an unexpired lease), renewing the caller's own
 //     lease if it already holds one.  Expired or corrupt leases, and
-//     corrupt or foreign records (undecodable, or naming another
+//     records that are not Sound (undecodable, or naming another
 //     identity in a top-level "id" field), degrade to misses and are
-//     re-claimable, so a damaged record never blocks a worker.  Leases are cooperative, not mutual
+//     re-claimable, so a damaged record never blocks a worker.  A
+//     reader that cannot use a sound record overwrites it without a
+//     lease (the sweep does this for stale cell records).  Leases are cooperative, not mutual
 //     exclusion: two racing workers may both win, execute the cell
 //     twice, and Put identical bytes — wasted work, never a wrong
 //     record.

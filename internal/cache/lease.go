@@ -33,7 +33,7 @@ func validOwner(owner string) bool {
 
 // Claim takes (or renews) an advisory lease on a record identity, per
 // the Backend contract: false when a sound record already exists (see
-// sound) or another owner holds an unexpired lease; true when the
+// Sound) or another owner holds an unexpired lease; true when the
 // caller now holds it.  A corrupt or foreign record file, like a
 // corrupt or expired lease file, is treated as absent: no reader can
 // use it, and the claimant's Put replaces it.
@@ -59,7 +59,7 @@ func (s *Store) Claim(id, owner string, ttl time.Duration) (bool, error) {
 		return false, fmt.Errorf("cache: non-positive lease ttl %v", ttl)
 	}
 	if data, err := os.ReadFile(s.Path(id)); err == nil {
-		if sound(id, data) {
+		if Sound(id, data) {
 			return false, nil // already complete; nothing to claim
 		}
 	} else if !os.IsNotExist(err) {
@@ -88,12 +88,16 @@ func (s *Store) Claim(id, owner string, ttl time.Duration) (bool, error) {
 	return true, nil
 }
 
-// sound reports whether a record file's bytes can stand for identity
-// id: they decode as JSON, and a record that names an identity (a
-// top-level "id" string, as sweep cell records carry) names this one.
-// A record naming another identity is foreign — copied or renamed into
-// the wrong place — and no reader that checks identities will use it.
-func sound(id string, data []byte) bool {
+// Sound is the one definition of a sound record: bytes that decode as
+// JSON and, if they name an identity (a top-level "id" string, as sweep
+// cell records carry), name id.  A record naming another identity is
+// foreign — copied or renamed into the wrong place — and no reader that
+// checks identities will use it.  Every Backend refuses to lease an
+// identity whose record is sound, so a reader that needs more than
+// soundness (the sweep also checks the schema and key a cell identity
+// digests) recomputes a sound record it cannot use and overwrites it
+// without a lease.
+func Sound(id string, data []byte) bool {
 	var v interface{}
 	if json.Unmarshal(data, &v) != nil {
 		return false

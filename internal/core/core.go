@@ -154,10 +154,14 @@ var _ protocol.Protocol = (*DecodableBackoff)(nil)
 var _ protocol.Partitioned = (*DecodableBackoff)(nil)
 var _ protocol.Coaster = (*DecodableBackoff)(nil)
 
+// MinKappa is the smallest decoding threshold the paper's analysis
+// admits.
+const MinKappa = 6
+
 // New returns a Decodable Backoff instance for decoding threshold kappa
-// (the paper requires κ ≥ 6) using the given random stream.
+// (κ ≥ MinKappa) using the given random stream.
 func New(kappa int, r *rng.Rand, opts ...Option) *DecodableBackoff {
-	if kappa < 6 {
+	if kappa < MinKappa {
 		panic("core: kappa must be at least 6 (required by the analysis)")
 	}
 	if r == nil {

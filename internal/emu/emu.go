@@ -42,43 +42,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/arrival"
 	"repro/internal/channel"
-	"repro/internal/medium"
 	"repro/internal/protocol"
-	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-
-	// Link every protocol-implementing package so the registry is
-	// complete for name validation and station replica construction.
-	_ "repro/internal/baseline"
-	_ "repro/internal/core"
-	_ "repro/internal/nocd"
 )
-
-// protoSeedSalt decorrelates the protocol replicas' shared rng stream
-// from the engine stream (arrivals, jamming, reservoir), mirroring the
-// sweep harness's convention.
-const protoSeedSalt = 0x70726f746f636f6c // "protocol"
 
 const (
 	defaultSlotTimeout    = 10 * time.Second
 	defaultStationTimeout = 2 * time.Minute
-	defaultAlohaP         = 0.001
-	defaultBurstWindow    = 16384
 	// doneDrainTimeout bounds how long Run waits for the final Done
 	// frames to be acknowledged before tearing links down.
 	doneDrainTimeout = 2 * time.Second
 )
 
-// Config parametrizes one emulation run.  The scenario fields mirror
-// the simulator/sweep axes; the emulation-only fields select the
-// station topology and transport.
+// Config parametrizes one emulation run.  The scenario fields are a
+// scenario.Scenario's, with its meanings, defaults and validity rules
+// (DESIGN.md §12); the emulation-only fields select the station
+// topology and transport.
 type Config struct {
 	// Protocol is the registry axis name ("dba", "beb", ...).
 	Protocol string
@@ -95,12 +80,13 @@ type Config struct {
 	// Arrival selects the arrival process: batch, bernoulli, poisson,
 	// even, or burst.  Rate is its uniform intensity parameter; BatchN
 	// overrides the batch size (0 = Rate×Horizon); BurstWindow sets the
-	// burst window (0 = 16384).
+	// burst window (0 = scenario.DefaultBurstWindow).
 	Arrival     string
 	Rate        float64
 	BatchN      int
 	BurstWindow int
-	// AlohaP is slotted ALOHA's transmission probability (0 = 0.001).
+	// AlohaP is slotted ALOHA's transmission probability (0 =
+	// scenario.DefaultAlohaP).
 	AlohaP float64
 	// Adversary optionally disrupts the run ("none", "random:RATE", ...;
 	// see adversary.Parse).
@@ -129,116 +115,38 @@ type Config struct {
 	SlotTimeout time.Duration
 }
 
-// buildInfo is what build derives beyond the sim.Config: the station
-// wire parameters.
-type buildInfo struct {
-	protoName string
-	kappa     int
-	alohaP    float64
-	protoSeed uint64
+// Validate reports the first problem with the station count or the
+// scenario (scenario.Scenario.Validate), or nil.
+func (c Config) Validate() error {
+	_, _, _, err := c.build()
+	return err
 }
 
-// build validates the configuration and assembles the engine config
-// plus station parameters.  Media and adversaries are stateful, so
-// every call constructs fresh instances — call once per run.
-func (c Config) build() (sim.Config, buildInfo, arrival.Process, error) {
-	var zero sim.Config
+// build validates the configuration and assembles one run through the
+// scenario builder: the engine config, the coordinator's protocol
+// instance, and the arrivals.  Every call constructs fresh instances —
+// call once per run.
+func (c Config) build() (sim.Config, protocol.Protocol, arrival.Process, error) {
 	if c.Stations < 1 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
+		return sim.Config{}, nil, nil, fmt.Errorf("emu: Stations must be at least 1 (got %d)", c.Stations)
 	}
-	ms, err := medium.ParseSpec(c.Medium)
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	info, ok := protocol.Lookup(c.Protocol)
-	if !ok {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: unknown protocol %q (want one of %s)",
-			c.Protocol, strings.Join(protocol.Names(), ", "))
-	}
-	if info.CodedOnly && ms.Model != "coded" {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q needs the coded channel, not %q", c.Protocol, ms.String())
-	}
-	if info.NoCDOnly && !(ms.Model == "classical" && ms.CD == medium.CDNone) {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: protocol %q is a no-collision-detection protocol; pair it with classical:none, not %q", c.Protocol, ms.String())
-	}
-	kappa := c.Kappa
-	var med medium.Medium
-	if ms != (medium.Spec{Model: "coded"}) {
-		med, err = ms.Build(kappa, c.MaxWindow)
-		if err != nil {
-			return zero, buildInfo{}, nil, err
-		}
-		kappa = med.Kappa()
-	} else if kappa < 1 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: Kappa must be at least 1 (got %d)", kappa)
-	}
-	if c.Horizon < 0 {
-		return zero, buildInfo{}, nil, fmt.Errorf("emu: negative horizon %d", c.Horizon)
-	}
-	arr, err := c.buildArrival()
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	adv, err := adversary.Parse(c.Adversary)
-	if err != nil {
-		return zero, buildInfo{}, nil, err
-	}
-	alohaP := c.AlohaP
-	if alohaP == 0 {
-		alohaP = defaultAlohaP
-	}
-	cfg := sim.Config{
-		Kappa:          kappa,
-		MaxWindow:      c.MaxWindow,
+	return scenario.Scenario{
+		Model:          c.Medium,
+		Protocol:       c.Protocol,
+		Arrival:        c.Arrival,
+		Kappa:          c.Kappa,
+		Rate:           c.Rate,
+		Adversary:      c.Adversary,
 		Horizon:        c.Horizon,
 		Drain:          c.Drain,
 		DrainLimit:     c.DrainLimit,
-		Seed:           c.Seed,
-		SeriesCap:      c.SeriesCap,
+		MaxWindow:      c.MaxWindow,
 		LatencySamples: c.LatencySamples,
-		Adversary:      adv,
-		Medium:         med,
-	}
-	bi := buildInfo{
-		protoName: c.Protocol,
-		kappa:     kappa,
-		alohaP:    alohaP,
-		protoSeed: c.Seed ^ protoSeedSalt,
-	}
-	return cfg, bi, arr, nil
-}
-
-// buildArrival maps the uniform rate axis onto the arrival kinds,
-// mirroring the sweep harness.
-func (c Config) buildArrival() (arrival.Process, error) {
-	switch c.Arrival {
-	case "batch", "":
-		n := c.BatchN
-		if n == 0 {
-			n = int(c.Rate * float64(c.Horizon))
-			if n < 1 {
-				n = 1
-			}
-		}
-		return &arrival.Batch{At: 0, N: n}, nil
-	case "bernoulli":
-		return &arrival.Bernoulli{Rate: c.Rate}, nil
-	case "poisson":
-		return &arrival.Poisson{Lambda: c.Rate}, nil
-	case "even":
-		return arrival.NewEvenPaced(c.Rate), nil
-	case "burst":
-		w := c.BurstWindow
-		if w == 0 {
-			w = defaultBurstWindow
-		}
-		per := int(c.Rate * float64(w))
-		if per < 1 {
-			per = 1
-		}
-		return &arrival.WindowBurst{Window: int64(w), PerWindow: per}, nil
-	}
-	return nil, fmt.Errorf("emu: unknown arrival %q (want batch, bernoulli, poisson, even, or burst)", c.Arrival)
+		SeriesCap:      c.SeriesCap,
+		BatchN:         c.BatchN,
+		BurstWindow:    int64(c.BurstWindow),
+		AlohaP:         c.AlohaP,
+	}.Build(c.Seed, scenario.ProtocolSeed(c.Seed), nil)
 }
 
 // wireConfig is the JSON blob the coordinator sends each station in
@@ -247,8 +155,8 @@ func (c Config) buildArrival() (arrival.Process, error) {
 // injection batches and feedback.
 type wireConfig struct {
 	Protocol  string  `json:"protocol"`
-	Kappa     int     `json:"kappa"`
-	AlohaP    float64 `json:"aloha_p"`
+	Kappa     int     `json:"kappa"`   // the medium's κ
+	AlohaP    float64 `json:"aloha_p"` // as configured: 0 is the default
 	ProtoSeed uint64  `json:"proto_seed"`
 	Stations  int     `json:"stations"`
 	Index     int     `json:"index"`
@@ -272,15 +180,10 @@ type Result struct {
 // SimReference runs the plain simulator on the emulation configuration
 // — the reference the lossless gate compares against.
 func SimReference(cfg Config) (*sim.Result, error) {
-	simCfg, bi, arr, err := cfg.build()
+	simCfg, proto, arr, err := cfg.build()
 	if err != nil {
 		return nil, err
 	}
-	proto := protocol.Build(bi.protoName, protocol.Params{
-		Kappa:  bi.kappa,
-		Rand:   rng.New(bi.protoSeed),
-		AlohaP: bi.alohaP,
-	})
 	return sim.Run(simCfg, proto, arr), nil
 }
 
@@ -288,7 +191,7 @@ func SimReference(cfg Config) (*sim.Result, error) {
 // goroutines over in-proc pipes (Transport "inproc", the default) or
 // loopback UDP ("udp"), coordinated in this process.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if _, _, _, err := cfg.build(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	stationTimeout := cfg.SlotTimeout
@@ -384,7 +287,7 @@ func drainAcks(t Transport, timeout time.Duration) {
 // per-slot barrier, adjudication via sim.Loop, and teardown frames; it
 // does not close the links.
 func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result, error) {
-	simCfg, bi, arr, err := cfg.build()
+	simCfg, proto, arr, err := cfg.build()
 	if err != nil {
 		return nil, err
 	}
@@ -396,10 +299,10 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		timeout = defaultSlotTimeout
 	}
 
-	// The Result labels the protocol by its Name(), which may embellish
-	// the axis name; ask a scratch instance.
-	scratch := protocol.Build(bi.protoName, protocol.Params{Kappa: bi.kappa, Rand: rng.New(0), AlohaP: bi.alohaP})
-	_, isWaker := scratch.(protocol.Waker)
+	// The stations hold the replicas that run; the coordinator's own
+	// instance only labels the Result (its Name() may embellish the axis
+	// name) and says whether the protocol is a Waker.
+	_, isWaker := proto.(protocol.Waker)
 
 	abort := func(err error) error {
 		msg := []byte(err.Error())
@@ -422,10 +325,10 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 			return nil, abort(fmt.Errorf("emu: station %d: expected hello, got %s", i, f.Type))
 		}
 		blob, err := json.Marshal(wireConfig{
-			Protocol:  bi.protoName,
-			Kappa:     bi.kappa,
-			AlohaP:    bi.alohaP,
-			ProtoSeed: bi.protoSeed,
+			Protocol:  cfg.Protocol,
+			Kappa:     simCfg.Kappa,
+			AlohaP:    cfg.AlohaP,
+			ProtoSeed: scenario.ProtocolSeed(cfg.Seed),
 			Stations:  cfg.Stations,
 			Index:     i,
 		})
@@ -437,7 +340,7 @@ func Coordinate(ctx context.Context, cfg Config, links []Transport) (*sim.Result
 		}
 	}
 
-	l := sim.NewLoop(simCfg, scratch.Name(), arr)
+	l := sim.NewLoop(simCfg, proto.Name(), arr)
 	m := l.Medium()
 	pending := 0
 	var txs []channel.PacketID
@@ -584,14 +487,13 @@ func RunStation(t Transport, timeout time.Duration) error {
 	if wc.Stations < 1 || wc.Index < 0 || wc.Index >= wc.Stations {
 		return fail(fmt.Errorf("emu: bad config: station %d of %d", wc.Index, wc.Stations))
 	}
-	if _, ok := protocol.Lookup(wc.Protocol); !ok {
-		return fail(fmt.Errorf("emu: bad config: unknown protocol %q", wc.Protocol))
+	// The replica comes from the same builder as the coordinator's
+	// instance, so a bad protocol, κ or p is an error, not a panic.
+	_, proto, _, err := scenario.Scenario{Protocol: wc.Protocol, Kappa: wc.Kappa, AlohaP: wc.AlohaP}.
+		Build(0, wc.ProtoSeed, nil)
+	if err != nil {
+		return fail(fmt.Errorf("emu: bad config: %w", err))
 	}
-	proto := protocol.Build(wc.Protocol, protocol.Params{
-		Kappa:  wc.Kappa,
-		Rand:   rng.New(wc.ProtoSeed),
-		AlohaP: wc.AlohaP,
-	})
 	waker, _ := proto.(protocol.Waker)
 	stations := int64(wc.Stations)
 	index := int64(wc.Index)

@@ -119,8 +119,11 @@ func TestUDPMatchesSim(t *testing.T) {
 // TestLossyUDPConverges injects datagram drops and duplicates on every
 // link: the retransmit layer must absorb them — the run completes, the
 // Result still matches the simulator exactly, and the stats prove
-// faults actually fired.
+// faults actually fired.  Every link starts 64 segments below 2³², so
+// the go-back-N window crosses the sequence-number wrap mid-run.
 func TestLossyUDPConverges(t *testing.T) {
+	initialSeq = 1<<32 - 64
+	defer func() { initialSeq = 0 }()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	cfg := Config{
@@ -149,6 +152,12 @@ func TestLossyUDPConverges(t *testing.T) {
 	}
 	if retrans == 0 {
 		t.Errorf("no retransmissions despite %d injected drops", drops)
+	}
+	for _, st := range res.Stations {
+		if st.Conn.SegsSent <= 64 || st.Conn.SegsRecv <= 64 {
+			t.Errorf("station %d link moved %d/%d segments; the run never crossed the wrap",
+				st.Index, st.Conn.SegsSent, st.Conn.SegsRecv)
+		}
 	}
 }
 
@@ -225,7 +234,6 @@ func TestRunValidatesConfig(t *testing.T) {
 		{Protocol: "dba", Kappa: 8, Horizon: 1, Stations: 0},
 		{Protocol: "nope", Kappa: 8, Horizon: 1, Stations: 1},
 		{Protocol: "dba", Medium: "classical:ternary", Horizon: 1, Stations: 1},
-		{Protocol: "robust", Medium: "coded", Kappa: 8, Horizon: 1, Stations: 1},
 		{Protocol: "beb", Medium: "warp", Horizon: 1, Stations: 1},
 		{Protocol: "beb", Kappa: 8, Horizon: 1, Stations: 1, Arrival: "nope"},
 		{Protocol: "beb", Kappa: 8, Horizon: 1, Stations: 1, Adversary: "nope"},
@@ -237,6 +245,43 @@ func TestRunValidatesConfig(t *testing.T) {
 			t.Errorf("Run accepted invalid config %+v", cfg)
 		}
 	}
+}
+
+// TestInvalidScenariosAreErrors: scenarios the engine would panic on —
+// an adaptive adversary over a silence-masking medium, dba below its
+// κ floor — come back as errors from both the emulation and the
+// simulator reference.
+func TestInvalidScenariosAreErrors(t *testing.T) {
+	bad := map[string]Config{
+		"reactive over classical:none": {Protocol: "beb", Medium: "classical:none",
+			Adversary: "reactive:2/3", Arrival: "batch", BatchN: 8, Horizon: 1, Drain: true, Stations: 2},
+		"dba at kappa 3": {Protocol: "dba", Kappa: 3,
+			Arrival: "batch", BatchN: 8, Horizon: 1, Drain: true, Stations: 2},
+	}
+	for name, cfg := range bad {
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+		if _, err := SimReference(cfg); err == nil {
+			t.Errorf("%s: SimReference accepted it", name)
+		}
+	}
+}
+
+// TestNoCDProtocolOffClassicalNone: pairing a no-CD protocol with a
+// sensing medium is a sweep grid-skip, not a validity rule, so the
+// emulator runs it and matches the simulator.
+func TestNoCDProtocolOffClassicalNone(t *testing.T) {
+	cfg := Config{Protocol: "robust", Medium: "capture:4", Arrival: "batch", BatchN: 24,
+		Horizon: 1, Drain: true, Seed: 5, Stations: 2}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Sim.Delivered != 24 {
+		t.Fatalf("delivered %d of 24", res.Sim.Delivered)
+	}
+	mustEqualSim(t, res.Sim, cfg)
 }
 
 // TestRunHonorsContext: a cancelled context aborts the run promptly

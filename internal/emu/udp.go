@@ -40,6 +40,15 @@ const (
 	retransTick = 5 * time.Millisecond
 )
 
+// initialSeq is the sequence number every new link starts at on both
+// sides: a test hook that starts links just below the uint32 wrap.
+// Always 0 outside tests.
+var initialSeq uint32
+
+// seqBefore reports whether sequence number a precedes b in the
+// wrapping uint32 space (serial-number order: less than 2³¹ behind).
+func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
+
 // Fault is a deterministic datagram fault plan for lossy-transport
 // regimes: every outgoing datagram (data and ack alike) is dropped with
 // probability DropRate and duplicated with probability DupRate, driven
@@ -95,6 +104,9 @@ func newUDPLink(write func([]byte) error, fault Fault, onClose func()) *udpLink 
 	l := &udpLink{
 		writeRaw: write,
 		onClose:  onClose,
+		sendSeq:  initialSeq,
+		sendBase: initialSeq,
+		recvNext: initialSeq,
 		rto:      initialRTO,
 		frames:   make(chan *Frame, 256),
 		fault:    fault,
@@ -224,7 +236,7 @@ func (l *udpLink) handle(pkt []byte) {
 // ackLocked advances the send window to the cumulative ack.
 func (l *udpLink) ackLocked(ack uint32) {
 	freed := false
-	for len(l.window) > 0 && int32(l.window[0].seq-ack) < 0 {
+	for len(l.window) > 0 && seqBefore(l.window[0].seq, ack) {
 		seg := l.window[0]
 		l.window = l.window[1:]
 		freed = true

@@ -21,13 +21,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/arrival"
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/medium"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -177,7 +174,8 @@ type Options struct {
 }
 
 // protoSeedSalt decorrelates the protocol rng from the trial seed the
-// engine consumes for arrivals (mirrors the sweep executor's salt).
+// engine consumes for arrivals; perf keeps its own salt, so the
+// committed artifact's cells keep their outcomes.
 const protoSeedSalt = 0x70657266 // "perf"
 
 // Run executes the grid serially (timing needs an otherwise-idle
@@ -246,44 +244,22 @@ func measure(c Case, seed uint64, trials int) Measurement {
 	return m
 }
 
-// build constructs one trial's engine inputs.  Components are stateful:
-// every trial gets fresh instances.
+// build constructs one trial's engine inputs through the scenario
+// builder.  Components are stateful: every trial gets fresh instances.
 func build(c Case, seed uint64) (sim.Config, protocol.Protocol, arrival.Process) {
-	cfg := sim.Config{Kappa: c.Kappa, Seed: seed, Workers: c.Workers}
-	if c.Model != "coded" {
-		med, err := medium.New(c.Model, c.Kappa, 0)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Medium = med
-	}
-	adv, err := adversary.Parse(c.Adversary)
-	if err != nil {
-		panic(err)
-	}
-	cfg.Adversary = adv
-	var proto protocol.Protocol
-	switch c.Protocol {
-	case "dba":
-		proto = core.New(c.Kappa, rng.New(seed^protoSeedSalt))
-	case "genie":
-		proto = baseline.NewGenieAloha(rng.New(seed^protoSeedSalt), 1)
-	case "beb":
-		proto = baseline.NewExponentialBackoff(rng.New(seed ^ protoSeedSalt))
-	default:
-		panic(fmt.Sprintf("perf: unknown protocol %q", c.Protocol))
-	}
-	var arr arrival.Process
+	sc := scenario.Scenario{Model: c.Model, Protocol: c.Protocol, Kappa: c.Kappa,
+		Adversary: c.Adversary, Drain: true}
 	if c.Rate > 0 {
-		cfg.Horizon = int64(c.N)
-		cfg.Drain = true
-		arr = arrival.NewEvenPaced(c.Rate)
+		sc.Arrival, sc.Rate, sc.Horizon = "even", c.Rate, int64(c.N)
 	} else {
-		cfg.Horizon = 1
-		cfg.Drain = true
-		cfg.DrainLimit = 64*int64(c.N) + 1<<21
-		arr = &arrival.Batch{At: 0, N: c.N}
+		sc.Arrival, sc.BatchN, sc.Horizon = "batch", c.N, 1
+		sc.DrainLimit = 64*int64(c.N) + 1<<21
 	}
+	cfg, proto, arr, err := sc.Build(seed, seed^protoSeedSalt, nil)
+	if err != nil {
+		panic(err) // Cases names valid scenarios only
+	}
+	cfg.Workers = c.Workers
 	return cfg, proto, arr
 }
 

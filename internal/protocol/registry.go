@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -57,7 +58,7 @@ func Register(info Info) {
 	if info.Name == "" || info.Build == nil {
 		panic("protocol: Register needs a name and a builder")
 	}
-	if !contains(canonicalNames, info.Name) {
+	if !slices.Contains(canonicalNames, info.Name) {
 		panic(fmt.Sprintf("protocol: %q is not in the canonical axis order; add it to canonicalNames first", info.Name))
 	}
 	if _, dup := registry[info.Name]; dup {
@@ -107,13 +108,4 @@ func Build(name string, p Params) Protocol {
 		panic(fmt.Sprintf("protocol: unknown protocol %q", name))
 	}
 	return info.Build(p)
-}
-
-func contains(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

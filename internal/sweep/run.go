@@ -2,16 +2,13 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
 )
-
-// protoSeedSalt decorrelates a trial's protocol rng stream from its
-// arrival stream (which uses the trial seed directly via sim.Config).
-const protoSeedSalt = 0x70726f746f636f6c // "protocol"
 
 // Options tunes sweep execution.  The zero value is ready to use.
 type Options struct {
@@ -69,7 +66,7 @@ type trialOut struct {
 // unit the shared backend stores and crnquery reads.  The identity
 // fields are re-checked on load: a record whose stored identity,
 // scenario key, or schema version disagrees with what the spec derives
-// is ignored (treated as a miss), never merged.
+// is never merged (see loadCell).
 type CellRecord struct {
 	SchemaVersion string      `json:"schema_version"`
 	ID            string      `json:"id"`
@@ -78,24 +75,23 @@ type CellRecord struct {
 	Cell          CellSummary `json:"cell"`
 }
 
-// matches reports whether a loaded record is trustworthy for the given
-// identity and scenario key under the current schema.
-func (r *CellRecord) matches(id, key string) bool {
-	return r.SchemaVersion == SchemaVersion && r.ID == id && r.Key == key
-}
-
-// loadCell fetches and verifies one cell from a backend.  Absent,
-// corrupt, foreign, and stale-schema records are all misses.
-func loadCell(b cache.Backend, id, key string) (CellSummary, bool, error) {
+// loadCell fetches one cell from a backend.  ok reports a record naming
+// this identity and key under the current schema.  stale reports one
+// that is sound (cache.Sound), so no backend will lease it, yet
+// unusable — a stale schema, a wrong key, no cell record at all; the
+// caller recomputes the cell and overwrites it without a lease.
+// Absent, corrupt and foreign records are plain, claimable misses.
+func loadCell(b cache.Backend, id, key string) (cell CellSummary, ok, stale bool, err error) {
+	var raw json.RawMessage
+	found, err := b.Get(id, &raw)
+	if err != nil || !found {
+		return CellSummary{}, false, false, err
+	}
 	var rec CellRecord
-	ok, err := b.Get(id, &rec)
-	if err != nil {
-		return CellSummary{}, false, err
+	if json.Unmarshal(raw, &rec) == nil && rec.SchemaVersion == SchemaVersion && rec.ID == id && rec.Key == key {
+		return rec.Cell, true, false, nil
 	}
-	if !ok || !rec.matches(id, key) {
-		return CellSummary{}, false, nil
-	}
-	return rec.Cell, true, nil
+	return CellSummary{}, false, cache.Sound(id, raw), nil
 }
 
 // putCell persists one completed cell to a backend.

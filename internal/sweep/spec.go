@@ -18,11 +18,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/medium"
 	"repro/internal/protocol"
+	"repro/internal/scenario"
 )
 
 // Model, protocol, and arrival kinds a Spec may name.
@@ -31,12 +34,12 @@ var (
 	// order (see internal/medium).
 	Models = medium.Models
 	// Protocols lists the known protocol kinds in canonical order,
-	// straight from the protocol registry (exec.go links every
-	// implementing package, so the axis is complete by the time this
-	// package initializes).
+	// straight from the protocol registry (the scenario builder links
+	// every implementing package, so the axis is complete by the time
+	// this package initializes).
 	Protocols = protocol.Names()
 	// Arrivals lists the known arrival kinds in canonical order.
-	Arrivals = []string{"batch", "bernoulli", "poisson", "even", "burst"}
+	Arrivals = scenario.Arrivals
 	// Adversaries lists the adversary descriptor forms a Spec may name
 	// (see internal/adversary).
 	Adversaries = adversary.Kinds
@@ -45,28 +48,15 @@ var (
 // Spec declares a scenario grid.  Every combination of one channel
 // model, one protocol, one arrival kind, one κ, one rate, one jammer,
 // and one adversary is a cell; each cell runs Trials independent
-// trials.  The rate axis has a uniform "offered load" meaning across
-// arrival kinds: it is the per-slot probability (bernoulli), intensity
-// (poisson), pace (even), window-fill fraction (burst: rate×BurstWindow
-// packets per window), or horizon-fill fraction (batch: rate×Horizon
-// packets at slot 0, unless BatchN overrides).
+// trials.  The rate axis is the scenario builder's offered load, one
+// meaning across arrival kinds (see scenario.Scenario.Rate).
 //
-// Six combinations are skipped during expansion rather than rejected,
-// so one grid can mix channel models and adversaries freely: dba pairs
-// only with the coded model (the algorithm is defined for κ ≥ 6); the
-// no-CD protocols (robust, unbounded) pair only with classical:none
-// (their schedules assume no channel sensing — pairing them with richer
-// feedback would sweep cells whose extra information they ignore);
-// classical models collapse the κ axis to the single value 1 (the
-// collision channel has no threshold to sweep); the capture model skips
-// κ = 1 (it collapses to the classical collision channel there, which
-// the classical axis already covers); jamming and adaptive adversaries
-// pair only with jammer "none" (double-jamming cells would only square
-// the grid, and an adaptive adversary cannot sit over a jammed,
-// silence-spoiling medium); and adaptive adversaries are skipped under
-// silence-masking models (classical:none has no channel sensing, so the
-// reactive trigger — and the determinism contract's gap-equals-silence
-// rule — is undefined there).
+// Cells the scenario builder would reject (dba off the coded model,
+// adaptive adversaries under silence-masking models) and cells the
+// grid-skip rules exclude (no-CD protocols off classical:none, the
+// κ-axis collapse, one noise source per cell) are skipped during
+// expansion rather than rejected, so one grid can mix channel models
+// and adversaries freely; see Expand and DESIGN.md §12.
 type Spec struct {
 	// Name labels the sweep in artifacts (optional).
 	Name string `json:"name,omitempty"`
@@ -122,9 +112,11 @@ type Spec struct {
 
 	// BatchN overrides the batch arrival size (0 = rate×Horizon).
 	BatchN int `json:"batch_n,omitempty"`
-	// BurstWindow is the burst arrival window length (0 = 16384).
+	// BurstWindow is the burst arrival window length (0 =
+	// scenario.DefaultBurstWindow).
 	BurstWindow int64 `json:"burst_window,omitempty"`
-	// AlohaP is the static ALOHA transmission probability (0 = 0.001).
+	// AlohaP is the static ALOHA transmission probability (0 =
+	// scenario.DefaultAlohaP).
 	AlohaP float64 `json:"aloha_p,omitempty"`
 }
 
@@ -145,27 +137,14 @@ func (s Scenario) Key() string {
 		s.Model, s.Protocol, s.Arrival, s.Kappa, s.Rate, s.Jammer, s.Adversary)
 }
 
-func contains(set []string, s string) bool {
-	for _, x := range set {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// isClassical reports whether the model descriptor names a classical
-// collision-channel variant.
-func isClassical(model string) bool { return strings.HasPrefix(model, "classical") }
-
 // Validate checks the spec and normalizes defaults (empty Models
 // becomes {"coded"}, empty Jammers becomes {"none"}).  It returns the
-// first problem found.
+// first problem found.  The validity rules are the scenario builder's;
+// the spec adds its axis checks and Expand's grid-skip rules.
 func (s *Spec) Validate() error {
 	if len(s.Models) == 0 {
 		s.Models = []string{"coded"}
 	}
-	hasCoded := false
 	for _, m := range s.Models {
 		ms, err := medium.ParseSpec(m)
 		if err != nil {
@@ -178,16 +157,12 @@ func (s *Spec) Validate() error {
 			// coordinate and silently fork cell identities.
 			return fmt.Errorf("sweep: model %q embeds parameters; use the kappas axis and max_window field instead", m)
 		}
-		// The capture model shares the coded channel's κ-ary decoding
-		// power but not its cross-slot windows; dba's κ ≥ 6 requirement
-		// (and the dba pairing rule below) is about coded specifically.
-		hasCoded = hasCoded || m == "coded"
 	}
 	if len(s.Protocols) == 0 {
 		return fmt.Errorf("sweep: no protocols")
 	}
 	for _, p := range s.Protocols {
-		if !contains(Protocols, p) {
+		if !slices.Contains(Protocols, p) {
 			return fmt.Errorf("sweep: unknown protocol %q (want one of %s)",
 				p, strings.Join(Protocols, ", "))
 		}
@@ -196,7 +171,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no arrivals")
 	}
 	for _, a := range s.Arrivals {
-		if !contains(Arrivals, a) {
+		if !slices.Contains(Arrivals, a) {
 			return fmt.Errorf("sweep: unknown arrival %q (want one of %s)",
 				a, strings.Join(Arrivals, ", "))
 		}
@@ -208,19 +183,29 @@ func (s *Spec) Validate() error {
 		if k < 1 {
 			return fmt.Errorf("sweep: kappa %d < 1", k)
 		}
-		if k < 6 && contains(s.Protocols, "dba") && hasCoded {
-			return fmt.Errorf("sweep: kappa %d < 6 but dba is swept (the analysis needs κ ≥ 6)", k)
-		}
 	}
-	if !hasCoded && len(s.Protocols) == 1 && s.Protocols[0] == "dba" {
-		return fmt.Errorf("sweep: dba pairs only with the coded model, but no coded model is swept")
+	// Every κ a model sweeps must fit every protocol that pairs with it:
+	// a bad threshold (dba below κ = 6) is an error, not a skipped cell.
+	for _, m := range s.Models {
+		ms, _ := medium.ParseSpec(m)
+		for _, p := range s.Protocols {
+			info, _ := protocol.Lookup(p)
+			if scenario.ModelFits(info, ms) != nil {
+				continue
+			}
+			for _, k := range s.kappas(m) {
+				if err := scenario.KappaFits(info, k); err != nil {
+					return fmt.Errorf("sweep: %s on %s: %w", p, m, err)
+				}
+			}
+		}
 	}
 	allNoCD := true
 	for _, p := range s.Protocols {
 		info, _ := protocol.Lookup(p)
 		allNoCD = allNoCD && info.NoCDOnly
 	}
-	if allNoCD && !contains(s.Models, "classical:none") {
+	if allNoCD && !slices.Contains(s.Models, "classical:none") {
 		return fmt.Errorf("sweep: no-CD protocols (%s) pair only with the classical:none model, but it is not swept",
 			strings.Join(s.Protocols, ", "))
 	}
@@ -228,15 +213,15 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: no rates")
 	}
 	for _, r := range s.Rates {
-		if r <= 0 {
-			return fmt.Errorf("sweep: rate %g ≤ 0", r)
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("sweep: rate %g is not a finite value > 0", r)
 		}
 	}
 	if len(s.Jammers) == 0 {
 		s.Jammers = []string{"none"}
 	}
 	for _, j := range s.Jammers {
-		if _, err := parseJammer(j); err != nil {
+		if _, err := scenario.ParseJammer(j); err != nil {
 			return err
 		}
 	}
@@ -254,9 +239,6 @@ func (s *Spec) Validate() error {
 	if s.Horizon < 1 {
 		return fmt.Errorf("sweep: horizon %d < 1", s.Horizon)
 	}
-	if s.DrainLimit < 0 {
-		return fmt.Errorf("sweep: drain limit %d < 0", s.DrainLimit)
-	}
 	if s.MaxWindow < 0 {
 		return fmt.Errorf("sweep: max window %d < 0", s.MaxWindow)
 	}
@@ -266,17 +248,14 @@ func (s *Spec) Validate() error {
 	if s.Workers < 0 {
 		return fmt.Errorf("sweep: workers %d < 0 (0 = serial engine)", s.Workers)
 	}
-	if s.BatchN < 0 {
-		return fmt.Errorf("sweep: batch n %d < 0", s.BatchN)
-	}
-	if s.BurstWindow < 0 {
-		return fmt.Errorf("sweep: burst window %d < 0", s.BurstWindow)
-	}
-	if s.AlohaP < 0 || s.AlohaP > 1 {
-		return fmt.Errorf("sweep: aloha p %g outside [0,1]", s.AlohaP)
-	}
-	if len(s.Expand()) == 0 {
+	cells := s.Expand()
+	if len(cells) == 0 {
 		return fmt.Errorf("sweep: the skip rules leave no cells (every protocol/model/κ combination named is skipped)")
+	}
+	// The run-wide fields (drain limit, batch size, burst window, ALOHA
+	// p) are the same in every cell, so one cell's scenario checks them.
+	if err := s.scenario(cells[0]).Validate(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	return nil
 }
@@ -288,16 +267,36 @@ func (s *Spec) Cells() int { return len(s.Expand()) }
 // collision channel decodes one transmission per slot, threshold 1.
 var classicalKappas = []int{1}
 
+// kappas returns the κ axis model m sweeps.  Classical models collapse
+// it to {1}; the capture model skips κ = 1, where it is the classical
+// collision channel the classical axis already covers.
+func (s *Spec) kappas(m string) []int {
+	if strings.HasPrefix(m, "classical") {
+		return classicalKappas
+	}
+	if m != "capture" {
+		return s.Kappas
+	}
+	filtered := make([]int, 0, len(s.Kappas))
+	for _, k := range s.Kappas {
+		if k >= 2 {
+			filtered = append(filtered, k)
+		}
+	}
+	return filtered
+}
+
 // Expand enumerates the grid's cells in canonical nesting order (model,
 // then protocol, then arrival, then κ, then rate, then jammer, then
 // adversary).  The order is part of the artifact contract: cell seeds
-// are assigned along it.  Six skip rules keep mixed grids runnable:
-// dba cells exist only under the coded model; no-CD protocols exist
-// only under classical:none; classical models collapse the κ axis to
-// {1}; the capture model skips κ = 1 (where it collapses to classical);
-// jamming and adaptive adversaries pair only with jammer "none"; and
-// adaptive adversaries are skipped under silence-masking models (the
-// feedback they react to does not exist there).
+// are assigned along it.  Cells the scenario builder would reject are
+// skipped: dba only under the coded model (scenario.ModelFits), and
+// adaptive adversaries under silence-masking models
+// (scenario.NoiseFits).  Four grid-skip rules keep mixed grids small:
+// no-CD protocols exist only under classical:none; classical models
+// collapse the κ axis to {1}; the capture model skips κ = 1 (where it
+// collapses to classical); and jamming and adaptive adversaries pair
+// only with jammer "none".
 func (s *Spec) Expand() []Scenario {
 	models := s.Models
 	if len(models) == 0 {
@@ -311,41 +310,35 @@ func (s *Spec) Expand() []Scenario {
 	if len(advs) == 0 {
 		advs = []string{"none"}
 	}
-	// Classify each adversary descriptor once; the skip rules consult
-	// the flags in the innermost loop.
-	advJams := make([]bool, len(advs))
-	advAdaptive := make([]bool, len(advs))
+	// Classify each adversary descriptor once, and its silence verdict
+	// once per model; the skip rules consult the flags in the innermost
+	// loop.
+	parsed := make([]adversary.Adversary, len(advs))
+	advNoisy := make([]bool, len(advs))
+	advFits := make([]bool, len(advs))
 	for i, a := range advs {
-		advJams[i] = adversary.IsJammer(a)
-		advAdaptive[i] = adversary.IsAdaptive(a)
+		parsed[i], _ = adversary.Parse(a)
+		_, jams := parsed[i].(adversary.Jammer)
+		_, adaptive := parsed[i].(adversary.Adaptive)
+		advNoisy[i] = jams || adaptive
 	}
 	var cells []Scenario
 	for _, m := range models {
-		kappas := s.Kappas
-		if isClassical(m) {
-			kappas = classicalKappas
-		} else if m == "capture" {
-			// Capture at κ = 1 is the classical collision channel, which
-			// the classical axis already covers; sweep only the κ where
-			// capture is its own model.
-			filtered := make([]int, 0, len(kappas))
-			for _, k := range kappas {
-				if k >= 2 {
-					filtered = append(filtered, k)
-				}
-			}
-			kappas = filtered
-		}
-		// Adaptive adversaries need truthful silence feedback; ask the
-		// model itself rather than hard-coding descriptor names.
+		ms, _ := medium.ParseSpec(m)
+		// Ask the model itself whether it masks silence rather than
+		// hard-coding descriptor names.
 		masksSilence := false
-		if built, err := medium.New(m, 1, 0); err == nil {
+		if built, err := ms.Build(1, 0); err == nil {
 			masksSilence = medium.MasksSilence(built)
 		}
+		for i := range parsed {
+			advFits[i] = scenario.NoiseFits(parsed[i], masksSilence) == nil
+		}
+		kappas := s.kappas(m)
 		for _, p := range s.Protocols {
 			info, _ := protocol.Lookup(p)
-			if info.CodedOnly && m != "coded" {
-				continue // dba is defined for the coded channel (κ ≥ 6)
+			if scenario.ModelFits(info, ms) != nil {
+				continue
 			}
 			if info.NoCDOnly && m != "classical:none" {
 				continue // no-CD schedules assume no channel sensing
@@ -355,13 +348,13 @@ func (s *Spec) Expand() []Scenario {
 					for _, r := range s.Rates {
 						for _, j := range jammers {
 							for ai, adv := range advs {
-								if (advJams[ai] || advAdaptive[ai]) && j != "none" {
+								if advNoisy[ai] && j != "none" {
 									// One noise source per cell; and an
 									// adaptive adversary cannot sit over a
 									// jammed (silence-spoiling) medium.
 									continue
 								}
-								if advAdaptive[ai] && masksSilence {
+								if !advFits[ai] {
 									continue // no silence feedback to react to
 								}
 								cells = append(cells, Scenario{
@@ -391,4 +384,26 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// scenario maps one cell onto the scenario builder's input: the cell's
+// coordinates plus the spec's run-wide fields.
+func (s *Spec) scenario(sc Scenario) scenario.Scenario {
+	return scenario.Scenario{
+		Model:          sc.Model,
+		Protocol:       sc.Protocol,
+		Arrival:        sc.Arrival,
+		Kappa:          sc.Kappa,
+		Rate:           sc.Rate,
+		Jammer:         sc.Jammer,
+		Adversary:      sc.Adversary,
+		Horizon:        s.Horizon,
+		Drain:          !s.NoDrain,
+		DrainLimit:     s.DrainLimit,
+		MaxWindow:      s.MaxWindow,
+		LatencySamples: s.LatencySamples,
+		BatchN:         s.BatchN,
+		BurstWindow:    s.BurstWindow,
+		AlohaP:         s.AlohaP,
+	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/protocol"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -86,11 +89,12 @@ func RunWorker(ctx context.Context, spec Spec, opts Options) (*WorkerResult, err
 // single dispatcher scans the selected cells in canonical order.  With
 // a backend it loads each cell whose record matches; it takes every
 // other cell, under claim only once it holds the cell's lease (cells
-// leased to someone else wait for a later scan).  A taken cell's trials
-// go to Parallelism lanes over an unbuffered channel, so the dispatcher
-// reaches the next cell only once a lane has accepted this cell's last
-// trial, and cells overlap instead of waiting for each other's
-// stragglers.  The lane that lands a cell's last trial summarizes the
+// leased to someone else wait for a later scan) — except a cell whose
+// record is stale (see loadCell), which no lease can cover.  A taken
+// cell's trials go to Parallelism lanes over an unbuffered channel, so
+// the dispatcher reaches the next cell only once a lane has accepted
+// this cell's last trial, and cells overlap instead of waiting for each
+// other's stragglers.  The lane that lands a cell's last trial summarizes the
 // cell and persists it.  One renewer re-claims the leases of all cells
 // in flight every TTL/2.
 //
@@ -171,20 +175,25 @@ func drain(ctx context.Context, spec *Spec, opts Options, claim bool, keep func(
 			execDelay(owner, i)
 		}
 		sc, seed := cells[i], seeds[job]
-		var errCount int64
-		proto := spec.buildProtocol(sc, seed^protoSeedSalt, &errCount)
-		cfg := spec.config(sc, seed)
-		if cfg.Workers == 0 {
-			cfg.Workers = opts.Workers
+		var errCount int64 // dba error epochs (Definition 2)
+		cfg, proto, arr, err := spec.scenario(sc).Build(seed, scenario.ProtocolSeed(seed),
+			protocol.EpochObserverFunc(func(info protocol.EpochInfo) {
+				if info.Error {
+					errCount++
+				}
+			}))
+		if err != nil {
+			panic(err) // Validate and Expand admit only valid cells
 		}
-		outs[job] = trialOut{res: sim.Run(cfg, proto, spec.buildArrival(sc)), errEpochs: errCount}
+		// Workers is result-neutral, so it stays out of cell identities.
+		cfg.Workers = cmp.Or(spec.Workers, opts.Workers)
+		outs[job] = trialOut{res: sim.Run(cfg, proto, arr), errEpochs: errCount}
 		if atomic.AddInt32(&left[i], -1) > 0 {
 			return
 		}
 		cellOuts := outs[i*trials : (i+1)*trials]
 		cell := summarize(sc, cellOuts)
 		clear(cellOuts) // drop the trials' results (and their latency reservoirs) now
-		var err error
 		if backend != nil {
 			err = putCell(backend, ids[i], i, sc.Key(), cell)
 		}
@@ -255,8 +264,9 @@ func drain(ctx context.Context, spec *Spec, opts Options, claim bool, keep func(
 				if err != nil {
 					return err
 				}
+				stale := false // no lease covers a stale record (see loadCell)
 				if backend != nil {
-					cell, ok, err := loadCell(backend, ids[i], cells[i].Key())
+					cell, ok, st, err := loadCell(backend, ids[i], cells[i].Key())
 					if err != nil {
 						return err
 					}
@@ -267,8 +277,9 @@ func drain(ctx context.Context, spec *Spec, opts Options, claim bool, keep func(
 						progressed = true
 						continue
 					}
+					stale = st
 				}
-				if claim {
+				if claim && !stale {
 					claimed, err := backend.Claim(ids[i], owner, ttl)
 					if err != nil {
 						return err
@@ -351,7 +362,7 @@ func Assemble(ctx context.Context, spec Spec, backend cache.Backend) (*Grid, err
 			return nil, err
 		}
 		id := cellID(sc, &spec, allSeeds[i*spec.Trials:(i+1)*spec.Trials])
-		cell, ok, err := loadCell(backend, id, sc.Key())
+		cell, ok, _, err := loadCell(backend, id, sc.Key())
 		if err != nil {
 			return nil, err
 		}

@@ -162,12 +162,67 @@ func TestRunWorkerRewritesDamagedRecords(t *testing.T) {
 		t.Fatalf("worker executed %d cells, want %d", res.Executed, spec.Cells())
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok, err := loadCell(store, id(i), cells[i].Key()); err != nil || !ok {
+		if _, ok, _, err := loadCell(store, id(i), cells[i].Key()); err != nil || !ok {
 			t.Fatalf("damaged record %d not rewritten (ok=%v, err=%v)", i, ok, err)
 		}
 	}
 	if got := assembledJSON(t, spec, store); !bytes.Equal(want, got) {
 		t.Fatal("grid after repairing damaged records differs from the unsharded run")
+	}
+}
+
+// TestRunWorkerRewritesStaleRecords plants records that name their own
+// identity — so every backend refuses to lease them — but that the
+// spec cannot use: a stale schema version, a wrong scenario key, and a
+// body that is no cell record.  A worker over the filesystem store and
+// one over HTTP must each finish, rewrite every planted record, and
+// leave a store that assembles to Run's grid.
+func TestRunWorkerRewritesStaleRecords(t *testing.T) {
+	spec := smallSpec()
+	spec.Kappas = []int{8}
+	want := unshardedJSON(t, spec)
+	cells := spec.Expand()
+	seeds := spec.jobSeeds(len(cells))
+	id := func(i int) string { return cellID(cells[i], &spec, seeds[i*spec.Trials:(i+1)*spec.Trials]) }
+	planted := map[int]interface{}{
+		0: &CellRecord{SchemaVersion: "crn-sweep/0", ID: id(0), Key: cells[0].Key(), Index: 0},
+		1: &CellRecord{SchemaVersion: SchemaVersion, ID: id(1), Key: "not/the/key", Index: 1},
+		2: map[string]string{"id": id(2)},
+	}
+	for _, remote := range []bool{false, true} {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range planted {
+			if err := store.Put(id(i), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var backend cache.Backend = store
+		if remote {
+			srv := httptest.NewServer(httpstore.NewServer(store))
+			defer srv.Close()
+			if backend, err = httpstore.NewClient(srv.URL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err = RunWorker(ctx, spec, stealOptions("repairer", backend))
+		cancel()
+		if err != nil {
+			t.Fatalf("remote=%v: worker over stale records: %v", remote, err)
+		}
+		for i := range planted {
+			var rec CellRecord
+			if ok, err := store.Get(id(i), &rec); err != nil || !ok ||
+				rec.SchemaVersion != SchemaVersion || rec.Key != cells[i].Key() || rec.Cell.Trials != spec.Trials {
+				t.Fatalf("remote=%v: planted record %d not rewritten: %+v (ok=%v, err=%v)", remote, i, rec, ok, err)
+			}
+		}
+		if got := assembledJSON(t, spec, store); !bytes.Equal(want, got) {
+			t.Fatalf("remote=%v: grid after rewriting stale records differs from Run", remote)
+		}
 	}
 }
 

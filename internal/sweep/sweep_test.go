@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 )
 
 func smallSpec() Spec {
@@ -100,6 +102,8 @@ func TestValidateRejects(t *testing.T) {
 		"dba small kappa": func(s *Spec) { s.Kappas = []int{4} },
 		"no rates":        func(s *Spec) { s.Rates = nil },
 		"rate zero":       func(s *Spec) { s.Rates = []float64{0} },
+		"rate NaN":        func(s *Spec) { s.Rates = []float64{0.3, math.NaN()} },
+		"rate +Inf":       func(s *Spec) { s.Rates = []float64{0.3, math.Inf(1)} },
 		"bad jammer":      func(s *Spec) { s.Jammers = []string{"emp"} },
 		"bad random":      func(s *Spec) { s.Jammers = []string{"random:2"} },
 		"bad periodic":    func(s *Spec) { s.Jammers = []string{"periodic:10"} },
@@ -587,9 +591,9 @@ func TestParseJammerNoneYieldsNil(t *testing.T) {
 	// "none" never jams, so it yields an untyped nil and the run
 	// composes no jam wrapper at all.
 	for _, desc := range []string{"", "none"} {
-		j, err := parseJammer(desc)
+		j, err := scenario.ParseJammer(desc)
 		if err != nil || j != nil {
-			t.Fatalf("parseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
+			t.Fatalf("scenario.ParseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
 		}
 	}
 }
@@ -599,14 +603,14 @@ func TestParseJammerPeriodicNeverJams(t *testing.T) {
 	// "none"; a zero (or negative) period describes no duty cycle and is
 	// rejected rather than silently jamming nothing.
 	for _, desc := range []string{"periodic:50/0", "periodic:1/0"} {
-		j, err := parseJammer(desc)
+		j, err := scenario.ParseJammer(desc)
 		if err != nil || j != nil {
-			t.Fatalf("parseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
+			t.Fatalf("scenario.ParseJammer(%q) = %v, %v, want nil, nil", desc, j, err)
 		}
 	}
 	for _, desc := range []string{"periodic:0/0", "periodic:0/1", "periodic:-5/1"} {
-		if j, err := parseJammer(desc); err == nil {
-			t.Fatalf("parseJammer(%q) = %v, nil, want an error", desc, j)
+		if j, err := scenario.ParseJammer(desc); err == nil {
+			t.Fatalf("scenario.ParseJammer(%q) = %v, nil, want an error", desc, j)
 		}
 	}
 }
@@ -617,13 +621,13 @@ func TestParseJammerPeriodicIsBurstGap(t *testing.T) {
 	r := rng.New(4)
 	for _, c := range []struct{ period, burst int64 }{{10, 3}, {50, 10}, {7, 7}, {1, 1}} {
 		desc := fmt.Sprintf("periodic:%d/%d", c.period, c.burst)
-		j, err := parseJammer(desc)
+		j, err := scenario.ParseJammer(desc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bg, ok := j.(*adversary.BurstGap)
 		if !ok || bg.Burst != c.burst || bg.Gap != c.period-c.burst {
-			t.Fatalf("parseJammer(%q) = %#v, want BurstGap{%d, %d}", desc, j, c.burst, c.period-c.burst)
+			t.Fatalf("scenario.ParseJammer(%q) = %#v, want BurstGap{%d, %d}", desc, j, c.burst, c.period-c.burst)
 		}
 		for now := int64(0); now < 5*c.period; now++ {
 			if want := now%c.period < c.burst; j.Jams(now, r) != want {
